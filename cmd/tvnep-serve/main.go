@@ -24,6 +24,16 @@ import (
 	"tvnep/pkg/tvnep"
 )
 
+// Server timeouts bound how long a slow or idle client can hold a
+// connection. There is deliberately no WriteTimeout: the node limit bounds
+// an admission's work, not its wall-clock time, so a write deadline could
+// cut off the response of a long MIP decision.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
@@ -100,7 +110,13 @@ func main() {
 		os.Exit(runReplay(solver, sc, *quiet))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: tvnep.NewServer(solver)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           tvnep.NewServer(solver),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {

@@ -83,71 +83,71 @@ func (cs *coverSeparator) Separate(x []float64) []Cut {
 }
 
 func TestCutPoolDedupSelectEvict(t *testing.T) {
-	cp := newCutPool(4)
+	cp := newPool[Cut]()
 	x := []float64{1, 1, 0, 0}
 	inf := math.Inf(-1)
 
 	// Same row offered three ways (permuted, duplicated entries) must pool
 	// exactly once.
-	cp.offer(Cut{Idx: []int32{0, 1}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a"})
-	cp.offer(Cut{Idx: []int32{1, 0}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a-permuted"})
-	cp.offer(Cut{Idx: []int32{0, 1, 1}, Val: []float64{1, 2, -1}, LB: inf, UB: 1, Name: "a-split"})
+	offerCut(cp, Cut{Idx: []int32{0, 1}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a"}, 4)
+	offerCut(cp, Cut{Idx: []int32{1, 0}, Val: []float64{1, 1}, LB: inf, UB: 1, Name: "a-permuted"}, 4)
+	offerCut(cp, Cut{Idx: []int32{0, 1, 1}, Val: []float64{1, 2, -1}, LB: inf, UB: 1, Name: "a-split"}, 4)
 	if len(cp.entries) != 1 || cp.hits != 2 || cp.offered != 3 {
 		t.Fatalf("dedup: %d entries, %d hits, %d offered", len(cp.entries), cp.hits, cp.offered)
 	}
 	// A zero-sum row canonicalizes to nothing and is dropped.
-	cp.offer(Cut{Idx: []int32{2, 2}, Val: []float64{1, -1}, LB: inf, UB: 0, Name: "empty"})
+	offerCut(cp, Cut{Idx: []int32{2, 2}, Val: []float64{1, -1}, LB: inf, UB: 0, Name: "empty"}, 4)
 	if len(cp.entries) != 1 {
 		t.Fatalf("empty row was pooled")
 	}
 	// A satisfied row is pooled but never selected.
-	cp.offer(Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"})
+	offerCut(cp, Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"}, 4)
 	// A more violated row must sort first.
-	cp.offer(Cut{Idx: []int32{0}, Val: []float64{3}, LB: inf, UB: 1, Name: "big"})
+	offerCut(cp, Cut{Idx: []int32{0}, Val: []float64{3}, LB: inf, UB: 1, Name: "big"}, 4)
 
-	sel := cp.selectViolated(x, 10, numtol.CutViolTol)
+	sel := cp.best(violationAt(x), numtol.CutViolTol, numtol.CutViolTol, 10)
 	if len(sel) != 2 {
 		t.Fatalf("selected %d cuts, want 2", len(sel))
 	}
-	if sel[0].cut.Name != "big" || sel[1].cut.Name != "a" {
-		t.Fatalf("violation order wrong: %q, %q", sel[0].cut.Name, sel[1].cut.Name)
+	if sel[0].item.Name != "big" || sel[1].item.Name != "a" {
+		t.Fatalf("violation order wrong: %q, %q", sel[0].item.Name, sel[1].item.Name)
 	}
-	if got := cp.selectViolated(x, 1, numtol.CutViolTol); len(got) != 1 || got[0].cut.Name != "big" {
+	if got := cp.best(violationAt(x), numtol.CutViolTol, numtol.CutViolTol, 1); len(got) != 1 || got[0].item.Name != "big" {
 		t.Fatalf("batch limit not honored")
 	}
 	sel[0].added = true
-	if got := cp.selectViolated(x, 10, numtol.CutViolTol); len(got) != 1 || got[0].cut.Name != "a" {
+	if got := cp.best(violationAt(x), numtol.CutViolTol, numtol.CutViolTol, 10); len(got) != 1 || got[0].item.Name != "a" {
 		t.Fatalf("added cut re-selected")
 	}
 
 	// Aging: the slack row was never violated; after maxAge rounds it must
 	// be evicted, while the added one stays (it is an LP row now).
 	sel[1].added = true
-	for r := 0; r < 4; r++ {
-		cp.endRound(3)
+	for r := 0; r < poolMaxAge+1; r++ {
+		cp.endRound()
 	}
 	names := map[string]bool{}
-	for _, pe := range cp.entries {
-		names[pe.cut.Name] = true
+	for _, e := range cp.entries {
+		names[e.item.Name] = true
 	}
 	if names["slack"] || !names["big"] || !names["a"] || cp.evicted != 1 {
 		t.Fatalf("eviction wrong: entries %v, evicted %d", names, cp.evicted)
 	}
 	// An evicted row may be offered (and therefore appended) again.
-	cp.offer(Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"})
+	offerCut(cp, Cut{Idx: []int32{2}, Val: []float64{1}, LB: inf, UB: 5, Name: "slack"}, 4)
 	if len(cp.entries) != 3 {
 		t.Fatalf("re-offer after eviction did not pool")
 	}
 }
 
 func TestCutPoolRejectsOutOfRange(t *testing.T) {
-	cp := newCutPool(2)
+	cp := newPool[Cut]()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range cut column did not panic")
 		}
 	}()
-	cp.offer(Cut{Idx: []int32{5}, Val: []float64{1}, LB: math.Inf(-1), UB: 1, Name: "bad"})
+	offerCut(cp, Cut{Idx: []int32{5}, Val: []float64{1}, LB: math.Inf(-1), UB: 1, Name: "bad"}, 2)
 }
 
 // TestLazyCutsMatchPlainSolve: separation must never change the certified
@@ -238,22 +238,5 @@ func TestParallelDeterminismWithCuts(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCutRoundsDisabled: negative round budgets must turn separation off
-// even with separators registered.
-func TestCutRoundsDisabled(t *testing.T) {
-	prob := multiKnapsack(3, 30, 10)
-	res := Solve(context.Background(), prob, &Options{
-		Separators:    []Separator{&coverSeparator{prob: prob}},
-		RootCutRounds: -1,
-		TreeCutRounds: -1,
-	})
-	if res.Status != StatusOptimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	if res.Cuts.SeparatedRows != 0 || res.Cuts.Offered != 0 {
-		t.Fatalf("separation ran with negative round budgets: %+v", res.Cuts)
 	}
 }

@@ -30,6 +30,22 @@ const (
 	// integer column and pays one warm LP solve, so the cap is also the
 	// heuristic's per-invocation LP budget.
 	maxDivePasses = 200
+
+	// rootCutRounds bounds the separation rounds at the root node, where
+	// cuts pay off most; treeCutRounds bounds them at every other node.
+	rootCutRounds = 20
+	treeCutRounds = 2
+	// maxPriceRounds caps the pricing rounds per node. It is a safety net
+	// against a non-converging Pricer, not a budget: hitting it leaves the
+	// node with a possibly-invalid bound.
+	maxPriceRounds = 200
+	// poolBatch is the maximum number of cuts or columns appended per
+	// round, taken in decreasing score order.
+	poolBatch = 32
+	// poolMaxAge evicts a pooled-but-never-appended cut or column after
+	// this many rounds without paying (a violation, an improving reduced
+	// cost).
+	poolMaxAge = 8
 )
 
 // Problem couples an LP with integrality markers.
@@ -120,7 +136,6 @@ type Options struct {
 	TimeLimit time.Duration // 0 → none
 	NodeLimit int           // 0 → none
 	GapTol    float64       // relative optimality gap, default 1e-6
-	IntTol    float64       // integrality tolerance, default 1e-6
 	// HeuristicEvery runs the rounding heuristic at the root and at every
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
@@ -145,37 +160,12 @@ type Options struct {
 	// Separation runs only on the committing goroutine, so the
 	// bit-identical-for-any-worker-count guarantee extends to cut rounds.
 	Separators []Separator
-	// RootCutRounds bounds the separation rounds at the root node (0 → the
-	// default of 20; negative → no root separation). The root is where cuts
-	// pay off most, so it gets a much deeper budget than tree nodes.
-	RootCutRounds int
-	// TreeCutRounds bounds the separation rounds at each non-root node
-	// (0 → the default of 2; negative → none).
-	TreeCutRounds int
-	// CutBatch is the maximum number of cuts appended per separation round,
-	// taken in decreasing violation order (0 → the default of 32).
-	CutBatch int
-	// CutMaxAge evicts a pooled-but-never-appended cut after this many
-	// rounds without a violation (0 → the default of 8; negative → never
-	// evict).
-	CutMaxAge int
 	// Pricers generate structural columns lazily instead of having the model
 	// emit them all up front; see the Pricer contract in price.go. Pricing
 	// runs only on the committing goroutine and — unlike separation — to
 	// convergence at every node, since a restricted relaxation's value is
 	// only a valid node bound once no column prices in.
 	Pricers []Pricer
-	// PriceRounds caps the pricing rounds per node (0 → the default of 200).
-	// It is a safety net against a non-converging Pricer, not a budget:
-	// hitting it leaves the node with a possibly-invalid bound.
-	PriceRounds int
-	// PriceBatch is the maximum number of columns appended per pricing
-	// round, taken in decreasing reduced-cost order (0 → the default of 32).
-	PriceBatch int
-	// ColMaxAge evicts a pooled-but-never-appended column after this many
-	// pricing rounds without an improving reduced cost (0 → the default of
-	// 8; negative → never evict).
-	ColMaxAge int
 }
 
 func (o *Options) withDefaults() Options {
@@ -186,9 +176,6 @@ func (o *Options) withDefaults() Options {
 	if out.GapTol <= 0 {
 		out.GapTol = numtol.MIPGapTol
 	}
-	if out.IntTol <= 0 {
-		out.IntTol = numtol.MIPIntTol
-	}
 	if out.HeuristicEvery == 0 {
 		out.HeuristicEvery = 50
 	}
@@ -197,31 +184,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.ProgressEvery == 0 {
 		out.ProgressEvery = 100
-	}
-	if out.RootCutRounds == 0 {
-		out.RootCutRounds = 20
-	} else if out.RootCutRounds < 0 {
-		out.RootCutRounds = 0
-	}
-	if out.TreeCutRounds == 0 {
-		out.TreeCutRounds = 2
-	} else if out.TreeCutRounds < 0 {
-		out.TreeCutRounds = 0
-	}
-	if out.CutBatch <= 0 {
-		out.CutBatch = 32
-	}
-	if out.CutMaxAge == 0 {
-		out.CutMaxAge = 8
-	}
-	if out.PriceRounds <= 0 {
-		out.PriceRounds = 200
-	}
-	if out.PriceBatch <= 0 {
-		out.PriceBatch = 32
-	}
-	if out.ColMaxAge == 0 {
-		out.ColMaxAge = 8
 	}
 	return out
 }
@@ -341,16 +303,16 @@ type searcher struct {
 	nextSeq    int64
 	lastWorker int
 
-	// Lazy-cut and pricing state, touched only by the committer. pool is
-	// nil when no separators are registered, colPool when no pricers are;
+	// Lazy-cut and pricing state, touched only by the committer. cuts is
+	// nil when no separators are registered, cols when no pricers are;
 	// applied/appliedCols are the append-only lists of cut rows and priced
 	// columns added to the LP, and opOrder is their interleaved commit
 	// order (one opCut/opCol byte per append), whose length is the current
 	// op epoch the workers replay to.
-	pool        *cutPool
+	cuts        *pool[Cut]
 	applied     []Cut
 	sepRounds   int
-	colPool     *columnPool
+	cols        *pool[Column]
 	appliedCols []Column
 	opOrder     []byte
 	priceRounds int
@@ -386,10 +348,10 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 		p.Integer = append(p.Integer, false)
 	}
 	if len(o.Separators) > 0 {
-		s.pool = newCutPool(n)
+		s.cuts = newPool[Cut]()
 	}
 	if len(o.Pricers) > 0 {
-		s.colPool = newColumnPool()
+		s.cols = newPool[Column]()
 	}
 	s.rootLB = make([]float64, n)
 	s.rootUB = make([]float64, n)
@@ -418,21 +380,21 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 		res.WastedLPIterations = int(s.eng.taskIters.Load()) - s.taskIters
 	}
 	res.Cuts = CutStats{RowsAtRoot: p.LP.NumRows()}
-	if s.pool != nil {
+	if s.cuts != nil {
 		res.Cuts.SeparatedRows = len(s.applied)
 		res.Cuts.Rounds = s.sepRounds
-		res.Cuts.Offered = s.pool.offered
-		res.Cuts.PoolHits = s.pool.hits
-		res.Cuts.Evicted = s.pool.evicted
+		res.Cuts.Offered = s.cuts.offered
+		res.Cuts.PoolHits = s.cuts.hits
+		res.Cuts.Evicted = s.cuts.evicted
 		res.AppliedCuts = s.applied
 	}
 	res.Columns = ColumnStats{ColsAtRoot: n}
-	if s.colPool != nil {
+	if s.cols != nil {
 		res.Columns.PricedCols = len(s.appliedCols)
 		res.Columns.Rounds = s.priceRounds
-		res.Columns.Offered = s.colPool.offered
-		res.Columns.PoolHits = s.colPool.hits
-		res.Columns.Evicted = s.colPool.evicted
+		res.Columns.Offered = s.cols.offered
+		res.Columns.PoolHits = s.cols.hits
+		res.Columns.Evicted = s.cols.evicted
 		res.AppliedColumns = s.appliedCols
 	}
 	bound := s.globalBoundMin()
@@ -545,13 +507,13 @@ func (s *searcher) applyBounds(nd *node) bool {
 // x is integral. Selection: most fractional, ties broken by larger absolute
 // objective coefficient.
 func (s *searcher) fractional(x []float64) int {
-	best, bestScore := -1, s.opts.IntTol
+	best, bestScore := -1, numtol.MIPIntTol
 	for j, isInt := range s.prob.Integer {
 		if !isInt {
 			continue
 		}
 		f := math.Abs(x[j] - math.Round(x[j]))
-		if f <= s.opts.IntTol {
+		if f <= numtol.MIPIntTol {
 			continue
 		}
 		score := 0.5 - math.Abs(f-0.5) // distance from integrality, peak at 0.5
@@ -657,7 +619,7 @@ func (s *searcher) diveHeuristic(nd *node, res lp.Result) {
 				continue
 			}
 			f := math.Abs(x[j] - math.Round(x[j]))
-			if f <= s.opts.IntTol {
+			if f <= numtol.MIPIntTol {
 				continue
 			}
 			if f < bestFrac {

@@ -105,25 +105,26 @@ func (pp *patternPricer) Price(duals, x []float64) []Column {
 }
 
 func TestColumnPoolDedupSelectEvict(t *testing.T) {
-	cp := newColumnPool()
+	cp := newPool[Column]()
+	tol := numtol.PriceRedTol
 	// Same column offered three ways (permuted, duplicated entries) must
 	// pool exactly once.
-	cp.offer(Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 5, Name: "a"}, 4)
-	cp.offer(Column{Idx: []int32{1, 0}, Val: []float64{2, 1}, UB: 1, Obj: 5, Name: "a-permuted"}, 4)
-	cp.offer(Column{Idx: []int32{0, 1, 1}, Val: []float64{1, 3, -1}, UB: 1, Obj: 5, Name: "a-split"}, 4)
+	offerColumn(cp, Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 5, Name: "a"}, 4)
+	offerColumn(cp, Column{Idx: []int32{1, 0}, Val: []float64{2, 1}, UB: 1, Obj: 5, Name: "a-permuted"}, 4)
+	offerColumn(cp, Column{Idx: []int32{0, 1, 1}, Val: []float64{1, 3, -1}, UB: 1, Obj: 5, Name: "a-split"}, 4)
 	if len(cp.entries) != 1 || cp.hits != 2 || cp.offered != 3 {
 		t.Fatalf("dedup: %d entries, %d hits, %d offered", len(cp.entries), cp.hits, cp.offered)
 	}
 	// A zero-sum column canonicalizes to nothing and is dropped.
-	cp.offer(Column{Idx: []int32{2, 2}, Val: []float64{1, -1}, UB: 1, Obj: 1, Name: "empty"}, 4)
+	offerColumn(cp, Column{Idx: []int32{2, 2}, Val: []float64{1, -1}, UB: 1, Obj: 1, Name: "empty"}, 4)
 	if len(cp.entries) != 1 {
 		t.Fatalf("coefficient-free column was pooled")
 	}
 	// Same coefficients but different objective = a different variable.
-	cp.offer(Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 7, Name: "b"}, 4)
+	offerColumn(cp, Column{Idx: []int32{0, 1}, Val: []float64{1, 2}, UB: 1, Obj: 7, Name: "b"}, 4)
 	// A column that does not price in at the test duals is pooled but never
 	// selected.
-	cp.offer(Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
+	offerColumn(cp, Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
 	if len(cp.entries) != 3 {
 		t.Fatalf("pool size %d, want 3", len(cp.entries))
 	}
@@ -131,53 +132,53 @@ func TestColumnPoolDedupSelectEvict(t *testing.T) {
 	// Maximization sense: reduced cost obj − yᵀa; duals zero on rows 0,1 and
 	// large on row 3 → "b" (7) beats "a" (5), "dull" prices out.
 	duals := []float64{0, 0, 0, 5}
-	sel := cp.selectImproving(duals, false, 10)
-	if len(sel) != 2 || sel[0].col.Name != "b" || sel[1].col.Name != "a" {
+	sel := cp.best(improvementAt(duals, false), tol, tol, 10)
+	if len(sel) != 2 || sel[0].item.Name != "b" || sel[1].item.Name != "a" {
 		t.Fatalf("selection order wrong: %d selected", len(sel))
 	}
-	if got := cp.selectImproving(duals, false, 1); len(got) != 1 || got[0].col.Name != "b" {
+	if got := cp.best(improvementAt(duals, false), tol, tol, 1); len(got) != 1 || got[0].item.Name != "b" {
 		t.Fatalf("batch limit not honored")
 	}
 	sel[0].added = true
-	if got := cp.selectImproving(duals, false, 10); len(got) != 1 || got[0].col.Name != "a" {
+	if got := cp.best(improvementAt(duals, false), tol, tol, 10); len(got) != 1 || got[0].item.Name != "a" {
 		t.Fatalf("added column re-selected")
 	}
 	// Minimization sense flips the test: obj 5 now needs yᵀa > 5 to improve.
-	if got := cp.selectImproving(duals, true, 10); len(got) != 1 || got[0].col.Name != "dull" {
+	if got := cp.best(improvementAt(duals, true), tol, tol, 10); len(got) != 1 || got[0].item.Name != "dull" {
 		t.Fatalf("minimize-sense selection wrong")
 	}
 
 	// Aging: mark "a" added too, then run rounds where only "dull" keeps
 	// pricing in (minimize sense); under maximize duals it never improves,
 	// so age it out with maximize selections.
-	sel = cp.selectImproving(duals, false, 10)
+	sel = cp.best(improvementAt(duals, false), tol, tol, 10)
 	sel[0].added = true // "a"
-	for r := 0; r < 4; r++ {
-		cp.selectImproving(duals, false, 10)
-		cp.endRound(3)
+	for r := 0; r < poolMaxAge+1; r++ {
+		cp.best(improvementAt(duals, false), tol, tol, 10)
+		cp.endRound()
 	}
 	names := map[string]bool{}
-	for _, ce := range cp.entries {
-		names[ce.col.Name] = true
+	for _, e := range cp.entries {
+		names[e.item.Name] = true
 	}
 	if names["dull"] || !names["a"] || !names["b"] || cp.evicted != 1 {
 		t.Fatalf("eviction wrong: entries %v, evicted %d", names, cp.evicted)
 	}
 	// An evicted column may be offered (and therefore appended) again.
-	cp.offer(Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
+	offerColumn(cp, Column{Idx: []int32{3}, Val: []float64{10}, UB: 1, Obj: 1, Name: "dull"}, 4)
 	if len(cp.entries) != 3 {
 		t.Fatalf("re-offer after eviction did not pool")
 	}
 }
 
 func TestColumnPoolRejectsOutOfRange(t *testing.T) {
-	cp := newColumnPool()
+	cp := newPool[Column]()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range column row did not panic")
 		}
 	}()
-	cp.offer(Column{Idx: []int32{5}, Val: []float64{1}, UB: 1, Obj: 1, Name: "bad"}, 2)
+	offerColumn(cp, Column{Idx: []int32{5}, Val: []float64{1}, UB: 1, Obj: 1, Name: "bad"}, 2)
 }
 
 // TestPricingMatchesStaticSolve is the correctness anchor: solving the
@@ -226,12 +227,12 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 		// column must be one of the full formulation's pattern columns.
 		known := map[string]bool{}
 		for _, c := range lazy {
-			if canon, ok := canonicalColumn(c); ok {
-				known[colKey(canon)] = true
+			if idx, val := canonical(c.Idx, c.Val); len(idx) > 0 {
+				known[vecKey(idx, val, c.LB, c.UB, c.Obj)] = true
 			}
 		}
 		for _, c := range got.AppliedColumns {
-			if !known[colKey(c)] {
+			if !known[vecKey(c.Idx, c.Val, c.LB, c.UB, c.Obj)] {
 				t.Errorf("seed %d: applied column %q is not a formulation column", sh.seed, c.Name)
 			}
 		}
@@ -241,15 +242,39 @@ func TestPricingMatchesStaticSolve(t *testing.T) {
 	}
 }
 
-// TestPricingSmallBatchConverges forces many rounds through PriceBatch=1 and
-// still must land on the same optimum, with one round per appended column.
+// singlePricer offers one new column per call: the first of the lazy
+// pattern columns that improves at the dual point and that it has not
+// offered before. An offered column improves by the pool's own score, so
+// the pool appends it in the same round; "not offered before" therefore
+// means "not in the LP yet", and the pricer returns nothing only once no
+// column the LP lacks prices in. Returning just the first improving column
+// instead would stall: that column can already sit in the LP at its upper
+// bound, so the pool appends nothing and pricing stops early.
+type singlePricer struct {
+	cols    []Column
+	offered []bool
+}
+
+func (sp *singlePricer) Price(duals, x []float64) []Column {
+	score := improvementAt(duals, false) // colGenProblem maximizes
+	for q, c := range sp.cols {
+		if !sp.offered[q] && score(c) > numtol.PriceRedTol {
+			sp.offered[q] = true
+			return []Column{c}
+		}
+	}
+	return nil
+}
+
+// TestPricingSmallBatchConverges forces many rounds through a pricer that
+// offers one new column per call and still must land on the same optimum,
+// with one round per appended column.
 func TestPricingSmallBatchConverges(t *testing.T) {
 	full, _ := colGenProblem(7, 5, 20, true)
 	restricted, lazy := colGenProblem(7, 5, 20, false)
 	want := Solve(context.Background(), full, nil)
 	got := Solve(context.Background(), restricted, &Options{
-		Pricers:    []Pricer{&patternPricer{cols: lazy}},
-		PriceBatch: 1,
+		Pricers: []Pricer{&singlePricer{cols: lazy, offered: make([]bool, len(lazy))}},
 	})
 	if got.Status != StatusOptimal {
 		t.Fatalf("status %v", got.Status)
@@ -258,7 +283,10 @@ func TestPricingSmallBatchConverges(t *testing.T) {
 		t.Errorf("obj %v differs from static %v", got.Obj, want.Obj)
 	}
 	if got.Columns.Rounds != got.Columns.PricedCols {
-		t.Errorf("batch=1 appended %d columns in %d rounds", got.Columns.PricedCols, got.Columns.Rounds)
+		t.Errorf("single-column pricer appended %d columns in %d rounds", got.Columns.PricedCols, got.Columns.Rounds)
+	}
+	if got.Columns.Rounds < 2 {
+		t.Errorf("only %d pricing rounds; the case no longer forces many rounds", got.Columns.Rounds)
 	}
 }
 
@@ -322,7 +350,9 @@ func colsEqual(a, b []Column) bool {
 		return false
 	}
 	for k := range a {
-		if colKey(a[k]) != colKey(b[k]) {
+		ka := vecKey(a[k].Idx, a[k].Val, a[k].LB, a[k].UB, a[k].Obj)
+		kb := vecKey(b[k].Idx, b[k].Val, b[k].LB, b[k].UB, b[k].Obj)
+		if ka != kb {
 			return false
 		}
 	}

@@ -60,8 +60,6 @@ type SolveOptions struct {
 	// GapTol is the relative optimality gap at which the search stops
 	// (default 1e-6).
 	GapTol float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// HeuristicEvery runs the rounding heuristic at the root and at every
 	// k-th node thereafter (0 → the default of 50; a negative value
 	// disables the heuristic entirely, including at the root).
@@ -136,7 +134,6 @@ func (o *SolveOptions) mipOptions() *mip.Options {
 		TimeLimit:      o.TimeLimit,
 		NodeLimit:      o.NodeLimit,
 		GapTol:         o.GapTol,
-		IntTol:         o.IntTol,
 		HeuristicEvery: o.HeuristicEvery,
 		Workers:        o.Workers,
 		ProgressEvery:  o.ProgressEvery,

@@ -98,7 +98,7 @@ const (
 	// bound declares an incumbent optimal.
 	MIPGapTol = 1e-6
 
-	// MIPIntTol is the default distance from integrality within which a
+	// MIPIntTol is the distance from integrality within which a
 	// relaxation value counts as integral. It must comfortably exceed
 	// LPFeasTol, since basic variable values carry that much noise.
 	MIPIntTol = 1e-6

@@ -5,6 +5,7 @@ package substrate
 
 import (
 	"fmt"
+	"math"
 
 	"tvnep/internal/graph"
 )
@@ -44,8 +45,8 @@ func (n *Network) NumNodes() int { return n.G.N }
 // NumLinks reports |E_S|.
 func (n *Network) NumLinks() int { return n.G.NumEdges() }
 
-// Validate checks structural invariants (positive capacities, matching
-// slice lengths).
+// Validate checks structural invariants (finite nonnegative capacities,
+// matching slice lengths).
 func (n *Network) Validate() error {
 	if len(n.NodeCap) != n.G.N {
 		return fmt.Errorf("substrate: %d node capacities for %d nodes", len(n.NodeCap), n.G.N)
@@ -54,13 +55,13 @@ func (n *Network) Validate() error {
 		return fmt.Errorf("substrate: %d link capacities for %d links", len(n.LinkCap), n.G.NumEdges())
 	}
 	for i, c := range n.NodeCap {
-		if c < 0 {
-			return fmt.Errorf("substrate: node %d has negative capacity %v", i, c)
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("substrate: node %d has invalid capacity %v", i, c)
 		}
 	}
 	for i, c := range n.LinkCap {
-		if c < 0 {
-			return fmt.Errorf("substrate: link %d has negative capacity %v", i, c)
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("substrate: link %d has invalid capacity %v", i, c)
 		}
 	}
 	return nil

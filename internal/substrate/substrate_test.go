@@ -1,6 +1,7 @@
 package substrate
 
 import (
+	"math"
 	"testing"
 
 	"tvnep/internal/graph"
@@ -46,6 +47,21 @@ func TestValidateErrors(t *testing.T) {
 	n.LinkCap = n.LinkCap[:1]
 	if n.Validate() == nil {
 		t.Fatal("link length mismatch not rejected")
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(n *Network)
+	}{
+		{"nan-node-capacity", func(n *Network) { n.NodeCap[1] = math.NaN() }},
+		{"inf-node-capacity", func(n *Network) { n.NodeCap[2] = math.Inf(1) }},
+		{"nan-link-capacity", func(n *Network) { n.LinkCap[1] = math.NaN() }},
+		{"inf-link-capacity", func(n *Network) { n.LinkCap[0] = math.Inf(1) }},
+	} {
+		n := Grid(2, 2, 1, 1)
+		tc.edit(n)
+		if n.Validate() == nil {
+			t.Errorf("%s: not rejected", tc.name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package vnet
 
 import (
 	"fmt"
+	"math"
 
 	"tvnep/internal/graph"
 	"tvnep/internal/numtol"
@@ -44,13 +45,28 @@ func (r *Request) TotalNodeDemand() float64 {
 	return s
 }
 
-// Validate checks structural and temporal invariants.
+// Validate checks structural and temporal invariants: matching demand
+// lengths, finite nonnegative demands and a finite, nonempty time window.
 func (r *Request) Validate() error {
 	if len(r.NodeDemand) != r.G.N {
 		return fmt.Errorf("vnet %s: %d node demands for %d nodes", r.Name, len(r.NodeDemand), r.G.N)
 	}
 	if len(r.LinkDemand) != r.G.NumEdges() {
 		return fmt.Errorf("vnet %s: %d link demands for %d links", r.Name, len(r.LinkDemand), r.G.NumEdges())
+	}
+	for i, d := range r.NodeDemand {
+		if !finiteNonneg(d) {
+			return fmt.Errorf("vnet %s: node %d has invalid demand %v", r.Name, i, d)
+		}
+	}
+	for i, d := range r.LinkDemand {
+		if !finiteNonneg(d) {
+			return fmt.Errorf("vnet %s: link %d has invalid demand %v", r.Name, i, d)
+		}
+	}
+	if !isFinite(r.Duration) || !isFinite(r.Earliest) || !isFinite(r.Latest) {
+		return fmt.Errorf("vnet %s: non-finite temporal parameters (duration %v, window [%v,%v])",
+			r.Name, r.Duration, r.Earliest, r.Latest)
 	}
 	if r.Duration <= 0 {
 		return fmt.Errorf("vnet %s: nonpositive duration %v", r.Name, r.Duration)
@@ -64,6 +80,10 @@ func (r *Request) Validate() error {
 	}
 	return nil
 }
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func finiteNonneg(v float64) bool { return isFinite(v) && v >= 0 }
 
 // Star builds the paper's request topology: a star with one center and the
 // given number of leaves; inward selects edge orientation. All nodes share

@@ -71,6 +71,36 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadNumbers: untrusted numbers that would corrupt the
+// model — negative or non-finite demands, non-finite temporal parameters —
+// must be rejected before any solver sees them.
+func TestValidateRejectsBadNumbers(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		edit func(r *Request)
+	}{
+		{"negative-node-demand", func(r *Request) { r.NodeDemand[0] = -5 }},
+		{"nan-node-demand", func(r *Request) { r.NodeDemand[1] = nan }},
+		{"inf-node-demand", func(r *Request) { r.NodeDemand[2] = inf }},
+		{"negative-link-demand", func(r *Request) { r.LinkDemand[0] = -0.5 }},
+		{"nan-link-demand", func(r *Request) { r.LinkDemand[1] = nan }},
+		{"inf-link-demand", func(r *Request) { r.LinkDemand[0] = inf }},
+		{"nan-duration", func(r *Request) { r.Duration = nan }},
+		{"inf-duration", func(r *Request) { r.Duration, r.Latest = inf, inf }},
+		{"nan-earliest", func(r *Request) { r.Earliest = nan }},
+		{"nan-latest", func(r *Request) { r.Latest = nan }},
+		{"inf-latest", func(r *Request) { r.Latest = inf }},
+	} {
+		r := Star("r", 2, true, 1, 1)
+		r.Earliest, r.Duration, r.Latest = 0, 2, 3
+		tc.edit(r)
+		if r.Validate() == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestFlexibilityTolerance(t *testing.T) {
 	r := Star("r", 1, true, 1, 1)
 	r.Earliest = 1.6324041020646987

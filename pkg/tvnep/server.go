@@ -44,6 +44,7 @@ type StatsResponse struct {
 	AcceptRate    float64 `json:"accept_rate"`
 	PrecheckTier  int     `json:"precheck_tier"`
 	LPTier        int     `json:"lp_tier"`
+	RoundingTier  int     `json:"rounding_tier"`
 	MIPTier       int     `json:"mip_tier"`
 	CertFailures  int     `json:"cert_failures"`
 	Reopts        int     `json:"reopts"`
@@ -162,6 +163,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AcceptRate:    s.AcceptRate(),
 		PrecheckTier:  s.PrecheckTier,
 		LPTier:        s.LPTier,
+		RoundingTier:  s.RoundingTier,
 		MIPTier:       s.MIPTier,
 		CertFailures:  s.CertFailures,
 		Reopts:        s.Reopts,

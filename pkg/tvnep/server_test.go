@@ -169,3 +169,82 @@ func TestServerRejectsMalformed(t *testing.T) {
 		t.Errorf("out-of-range mapping: status %v, want 422", resp.Status)
 	}
 }
+
+// TestServerRejectsNegativeDemand: a request with a negative node demand
+// would free capacity for the others, so two demand-1 requests could share
+// a capacity-1 node. It must be rejected at the boundary (400) and never
+// reach the engine.
+func TestServerRejectsNegativeDemand(t *testing.T) {
+	solver, err := tvnep.New(tvnep.Grid(2, 2, 1, 1), tvnep.WithHorizon(24))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(tvnep.NewServer(solver))
+	defer ts.Close()
+
+	body := `{"request": {"name": "neg", "nodes": 2, "edges": [[0, 1]], "node_demands": [-5, 1],
+		"link_demands": [0.5], "duration": 2, "earliest": 0, "latest": 6}, "mapping": [0, 1]}`
+	resp, err := http.Post(ts.URL+"/v1/admit", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative demand: status %v, want 400", resp.Status)
+	}
+	if n := solver.EngineStats().Decisions; n != 0 {
+		t.Fatalf("rejected request reached the engine: %d decisions", n)
+	}
+}
+
+// TestServerStatsRoundingTier: /v1/stats must report the rounding tier's
+// decision count, the same number the engine keeps.
+func TestServerStatsRoundingTier(t *testing.T) {
+	sc := scenario(t, 40, 7)
+	solver, err := tvnep.New(sc.Substrate,
+		tvnep.WithHorizon(sc.Horizon),
+		tvnep.WithAlgorithm(tvnep.Rounding),
+		tvnep.WithSeed(5),
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(tvnep.NewServer(solver))
+	defer ts.Close()
+
+	for i, req := range sc.Requests {
+		body, err := json.Marshal(tvnep.AdmitRequest{
+			Request: workload.EncodeRequest(req),
+			Mapping: sc.Mapping[i],
+		})
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/admit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("admit %d: status %v", i, resp.Status)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	var stats map[string]interface{}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatalf("stats: decode: %v", err)
+	}
+	resp.Body.Close()
+	want := solver.EngineStats().RoundingTier
+	if want == 0 {
+		t.Fatal("rounding tier never engaged; the trace no longer exercises it")
+	}
+	got, ok := stats["rounding_tier"].(float64)
+	if !ok || int(got) != want {
+		t.Fatalf("rounding_tier = %v (present %v), engine count %d", stats["rounding_tier"], ok, want)
+	}
+}
