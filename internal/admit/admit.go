@@ -365,7 +365,7 @@ type acceptance struct {
 // decide runs the LP fast tier and, when inconclusive, the full
 // branch-and-bound solve. It returns nil when the request is rejected.
 func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*acceptance, error) {
-	subInst, _, opts, newIdx, pinned := e.subproblem(rec)
+	subInst, opts, newIdx, pinned, origin := e.subproblem(rec)
 	d.Stats.ActiveSet = newIdx
 
 	b := core.BuildCSigma(subInst, opts)
@@ -427,17 +427,21 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 		}
 	}
 	if sol == nil || !sol.Accepted[newIdx] {
-		e.commitRestart(inst, b, lpRes, nil, newIdx, d)
+		sol = nil
+	}
+	e.commitRestart(inst, b, lpRes, sol, newIdx, d)
+	// Objective (21) reads t⁻ in shifted times; report the bound in the
+	// engine's.
+	d.Stats.PinnedBound -= origin
+	if sol == nil {
 		return nil, nil
 	}
-	acc := &acceptance{
-		start: sol.Start[newIdx],
-		end:   sol.End[newIdx],
+	return &acceptance{
+		start: sol.Start[newIdx] + origin,
+		end:   sol.End[newIdx] + origin,
 		hosts: sol.Hosts[newIdx],
 		flows: sol.Flows[newIdx],
-	}
-	e.commitRestart(inst, b, lpRes, acc, newIdx, d)
-	return acc, nil
+	}, nil
 }
 
 // subproblem assembles the per-decision cΣ instance: every committed request
@@ -446,28 +450,47 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 // subproblem index is returned (it is always last) together with the
 // committed flows of the included requests, in subproblem order, for the
 // caller to pin.
-func (e *Engine) subproblem(rec *record) (*core.Instance, vnet.NodeMapping, core.BuildOptions, int, [][][]float64) {
-	var subReqs []*vnet.Request
-	var subMap vnet.NodeMapping
-	var force []bool
-	var pinned [][][]float64
+//
+// The instance is translated so its earliest window opens at 0: times are
+// shifted by the returned origin and the horizon shrinks to the latest
+// window end. The big-M rows of the cΣ model use the horizon, and χ is only
+// integral to MIPIntTol, so a start can slip by horizon·MIPIntTol before a
+// committed end; on the engine's whole horizon that slip, and the float
+// noise of large absolute times, overbooked nodes the certifier then
+// caught. The caller adds the origin back to the accepted schedule.
+func (e *Engine) subproblem(rec *record) (*core.Instance, core.BuildOptions, int, [][][]float64, float64) {
+	var included []*record
+	origin, latest := rec.req.Earliest, rec.req.Latest
 	for _, a := range e.active {
 		if !overlaps(a.decided.Start, a.decided.End, rec.req.Earliest, rec.req.Latest) {
 			continue
 		}
+		included = append(included, a)
+		origin = math.Min(origin, a.decided.Start)
+		latest = math.Max(latest, a.decided.End)
+	}
+	var subReqs []*vnet.Request
+	var subMap vnet.NodeMapping
+	var force []bool
+	var pinned [][][]float64
+	for _, a := range included {
 		pin := *a.req
-		pin.Earliest = a.decided.Start
-		pin.Latest = a.decided.End
+		pin.Earliest = a.decided.Start - origin
+		pin.Latest = a.decided.End - origin
 		subReqs = append(subReqs, &pin)
 		subMap = append(subMap, a.mapping)
 		force = append(force, true)
 		pinned = append(pinned, a.decided.Flows)
 	}
+	// A shifted copy: the engine retains rec.req unshifted.
+	arriving := *rec.req
+	arriving.Earliest -= origin
+	arriving.Latest -= origin
 	newIdx := len(subReqs)
-	subReqs = append(subReqs, rec.req)
+	subReqs = append(subReqs, &arriving)
 	subMap = append(subMap, rec.mapping)
 	force = append(force, false)
-	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: e.cfg.Horizon}
+	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: latest - origin}
 	opts := core.BuildOptions{
 		Objective:       core.AccessControl, // replaced by objective (21)
 		FixedMapping:    subMap,
@@ -475,7 +498,7 @@ func (e *Engine) subproblem(rec *record) (*core.Instance, vnet.NodeMapping, core
 		DisablePresolve: e.cfg.DisablePresolve,
 		ForceAccept:     force,
 	}
-	return inst, subMap, opts, newIdx, pinned
+	return inst, opts, newIdx, pinned, origin
 }
 
 // integral reports whether the LP point is integral on every integer column.
@@ -494,16 +517,18 @@ func integral(m *model.Model, x []float64) bool {
 // commitRestart pins the decision into the already-solved LP instance with
 // AppendRow band rows and re-solves warm from the captured basis and LU
 // factors — the lazy-cut hot-restart machinery reused to certify the
-// committed system with an LP bound. acc == nil pins a rejection.
-func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result, acc *acceptance, newIdx int, d *Decision) {
+// committed system with an LP bound. sol is the accepting solution in the
+// subproblem's shifted times; nil pins a rejection.
+func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result, sol *solution.Solution, newIdx int, d *Decision) {
 	if lpRes.Basis == nil {
 		return // fast-tier LP did not finish; nothing to restart from
 	}
 	xr := int32(b.XR[newIdx].Index())
-	if acc != nil {
+	if sol != nil {
 		inst.AppendRow([]int32{xr}, []float64{1}, 0.5, lp.Inf)
 		tp := int32(b.TPlus[newIdx].Index())
-		inst.AppendRow([]int32{tp}, []float64{1}, acc.start-numtol.TimeTol, acc.start+numtol.TimeTol)
+		start := sol.Start[newIdx]
+		inst.AppendRow([]int32{tp}, []float64{1}, start-numtol.TimeTol, start+numtol.TimeTol)
 	} else {
 		inst.AppendRow([]int32{xr}, []float64{1}, math.Inf(-1), 0.5)
 	}

@@ -175,3 +175,37 @@ func TestPrecheckReject(t *testing.T) {
 			d.Start, d.End, req.Earliest, req.EarliestEnd())
 	}
 }
+
+// TestNoCertDowngrades replays the benchmark's HTTP admission trace (seed
+// 4) with certification on and requires that no accepting decision is
+// downgraded. Solved on the engine's whole horizon, the per-decision models
+// let a start slip by horizon·MIPIntTol past a committed end (big-M
+// leakage) or a few ulps before it, and the certifier rejected those
+// overlaps; the first one is decision 284.
+func TestNoCertDowngrades(t *testing.T) {
+	cfg := workload.Default()
+	cfg.NumRequests = 2000
+	cfg.StarLeaves = 1
+	cfg.FlexibilityHr = 2
+	sc := workload.Generate(cfg, 4)
+	n := 1300
+	if testing.Short() {
+		n = 300
+	}
+	eng, err := New(Config{Sub: sc.Substrate, Horizon: sc.Horizon, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range sc.Requests[:n] {
+		d, err := eng.Admit(context.Background(), req, sc.Mapping[i])
+		if err != nil {
+			t.Fatalf("Admit(%d): %v", i, err)
+		}
+		if d.CertErr != nil {
+			t.Errorf("decision %d downgraded: %v", i, d.CertErr)
+		}
+	}
+	if s := eng.Stats(); s.CertFailures != 0 {
+		t.Fatalf("%d certification downgrades in %d decisions", s.CertFailures, n)
+	}
+}

@@ -280,6 +280,61 @@ func TestMutationsRejected(t *testing.T) {
 	})
 }
 
+// TestMalformedSolutionsNoPanic feeds solutions whose host or flow slices
+// do not fit a 9-node substrate to every Section IV-E objective and to the
+// timeline: each must come back as a Shape or HostRange violation, never
+// as a panic, and the misfit request must carry no load.
+func TestMalformedSolutionsNoPanic(t *testing.T) {
+	base := func() (*core.Instance, *solution.Solution) {
+		inst, sol, _ := tinyInstance(t, 10, 10, 2)
+		inst.Sub = substrate.Grid(3, 3, 10, 10)
+		for e := 0; e < inst.Sub.NumLinks(); e++ {
+			if u, v := inst.Sub.G.Edge(e); u == 0 && v == 1 {
+				for r := range sol.Flows {
+					sol.Flows[r][0] = make([]float64, inst.Sub.NumLinks())
+					sol.Flows[r][0][e] = 1
+				}
+			}
+		}
+		return inst, sol
+	}
+	cases := []struct {
+		name   string
+		mutate func(*solution.Solution)
+		want   certify.Kind
+	}{
+		{"hosts-shorter-than-requests", func(s *solution.Solution) { s.Hosts = s.Hosts[:1] }, certify.Shape},
+		{"host-99", func(s *solution.Solution) { s.Hosts[1][1] = 99 }, certify.HostRange},
+		{"host-negative", func(s *solution.Solution) { s.Hosts[1][0] = -1 }, certify.HostRange},
+		{"flows-shorter-than-requests", func(s *solution.Solution) { s.Flows = s.Flows[:1] }, certify.Shape},
+		{"flow-vector-short", func(s *solution.Solution) { s.Flows[1][0] = s.Flows[1][0][:3] }, certify.Shape},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, sol := base()
+			if err := certify.Solution(inst, sol, certify.Options{Objective: core.AccessControl}).Err(); err != nil {
+				t.Fatalf("unmutated solution must certify: %v", err)
+			}
+			tc.mutate(sol)
+			for _, obj := range []core.Objective{
+				core.AccessControl, core.MaxEarliness, core.BalanceNodeLoad, core.DisableLinks, core.MinMakespan,
+			} {
+				if rep := certify.Solution(inst, sol, certify.Options{Objective: obj}); !rep.Has(tc.want) {
+					t.Errorf("%v: want %v, got %v", obj, tc.want, rep.Violations)
+				}
+			}
+			if solution.Check(inst.Sub, inst.Reqs, sol) == nil {
+				t.Error("solution.Check accepted the malformed solution")
+			}
+			for _, seg := range solution.Timeline(inst.Sub, inst.Reqs, sol) {
+				if len(seg.Active) != 1 || seg.Active[0] != 0 {
+					t.Errorf("segment [%v,%v]: active %v, want only the well-formed request 0", seg.Start, seg.End, seg.Active)
+				}
+			}
+		})
+	}
+}
+
 // smallLP builds max 3x+2y s.t. x+y ≤ 4, x ∈ [0,2], y ∈ [0,3]
 // (optimum x=2, y=2, objective 10).
 func smallLP() *lp.Problem {

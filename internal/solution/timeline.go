@@ -3,9 +3,7 @@ package solution
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"tvnep/internal/numtol"
 	"tvnep/internal/substrate"
 	"tvnep/internal/vnet"
 )
@@ -49,55 +47,21 @@ func (seg *TimelineSegment) PeakLinkUtil(sub *substrate.Network) float64 {
 }
 
 // Timeline computes the piecewise-constant substrate utilization of a
-// solution: one segment per interval between consecutive request start/end
-// events (the same decomposition Definition 2.1's feasibility condition
-// rests on). Only accepted requests contribute.
+// solution: one segment per interval that Sweep visits (the decomposition
+// Definition 2.1's feasibility condition rests on). Only accepted requests
+// whose embedding fits the instance contribute.
 func Timeline(sub *substrate.Network, reqs []*vnet.Request, sol *Solution) []TimelineSegment {
-	var events []float64
-	for r := range reqs {
-		if sol.Accepted[r] {
-			events = append(events, sol.Start[r], sol.End[r])
-		}
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	sort.Float64s(events)
-	// Deduplicate.
-	uniq := events[:1]
-	for _, t := range events[1:] {
-		if t-uniq[len(uniq)-1] > numtol.EventCoincide {
-			uniq = append(uniq, t)
-		}
-	}
 	var out []TimelineSegment
-	for i := 0; i+1 < len(uniq); i++ {
-		seg := TimelineSegment{
-			Start:    uniq[i],
-			End:      uniq[i+1],
-			NodeLoad: make([]float64, sub.NumNodes()),
-			LinkLoad: make([]float64, sub.NumLinks()),
-		}
-		mid := (seg.Start + seg.End) / 2
-		for r, req := range reqs {
-			if !sol.Accepted[r] || mid <= sol.Start[r] || mid >= sol.End[r] {
-				continue
-			}
-			seg.Active = append(seg.Active, r)
-			for v, host := range sol.Hosts[r] {
-				seg.NodeLoad[host] += req.NodeDemand[v]
-			}
-			for lv := 0; lv < req.G.NumEdges(); lv++ {
-				d := req.LinkDemand[lv]
-				for ls, f := range sol.Flows[r][lv] {
-					if f > numtol.FlowCutoff {
-						seg.LinkLoad[ls] += d * f
-					}
-				}
-			}
-		}
-		out = append(out, seg)
-	}
+	Sweep(sub, reqs, sol, func(seg *TimelineSegment) bool {
+		out = append(out, TimelineSegment{
+			Start:    seg.Start,
+			End:      seg.End,
+			NodeLoad: append([]float64(nil), seg.NodeLoad...),
+			LinkLoad: append([]float64(nil), seg.LinkLoad...),
+			Active:   append([]int(nil), seg.Active...),
+		})
+		return true
+	})
 	return out
 }
 
