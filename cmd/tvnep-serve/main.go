@@ -21,6 +21,8 @@ import (
 	"os/signal"
 	"time"
 
+	"tvnep/internal/certify"
+	"tvnep/internal/core"
 	"tvnep/pkg/tvnep"
 )
 
@@ -50,7 +52,6 @@ func main() {
 		algoName = flag.String("algorithm", "exact", "admission fast-tier mode: exact (LP → MIP) | rounding (LP → randomized rounding → MIP)")
 		seed     = flag.Int64("seed", 0, "seed for the rounding tier's sampler (replays are bit-identical per seed)")
 		certify  = flag.Bool("certify", false, "independently certify every accepting decision before committing it")
-		reopt    = flag.Int("reopt", 0, "re-optimize committed link allocations after every n-th acceptance (0 → never)")
 		quiet    = flag.Bool("q", false, "suppress per-decision replay output")
 	)
 	flag.Parse()
@@ -86,7 +87,6 @@ func main() {
 		tvnep.WithHorizon(T),
 		tvnep.WithCutMode(cm),
 		tvnep.WithWorkers(*workers),
-		tvnep.WithReoptEvery(*reopt),
 	}
 	switch *algoName {
 	case "", "exact":
@@ -133,8 +133,9 @@ func main() {
 }
 
 // runReplay streams every scenario request through the engine, prints the
-// decisions and summary statistics, and re-certifies the committed snapshot
-// independently. Non-zero exit on any error or certificate violation.
+// decisions and summary statistics, and certifies the whole committed
+// snapshot independently. Non-zero exit on any error or certificate
+// violation.
 func runReplay(solver *tvnep.Solver, sc *tvnep.Scenario, quiet bool) int {
 	if sc.Mapping == nil {
 		fmt.Fprintln(os.Stderr, "tvnep-serve: replay scenario carries no node mapping")
@@ -165,17 +166,21 @@ func runReplay(solver *tvnep.Solver, sc *tvnep.Scenario, quiet bool) int {
 	s := solver.EngineStats()
 	fmt.Printf("decisions=%d accepted=%d (rate %.3f) tiers: precheck=%d lp=%d rounding=%d mip=%d\n",
 		s.Decisions, s.Accepted, s.AcceptRate(), s.PrecheckTier, s.LPTier, s.RoundingTier, s.MIPTier)
-	fmt.Printf("latency: p50=%v p99=%v   warm rate %.3f (%d/%d, %d LU extensions)   reopts=%d\n",
-		s.LatencyP50, s.LatencyP99, s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended, s.Reopts)
+	fmt.Printf("latency: p50=%v p99=%v   warm rate %.3f (%d/%d, %d LU extensions)\n",
+		s.LatencyP50, s.LatencyP99, s.WarmRate(), s.WarmUsed, s.WarmAttempts, s.BasisExtended)
 
-	// Final gate: the cumulative committed solution must pass the
-	// independent checker, whatever the per-decision settings were.
-	inst, _, sol := solver.Snapshot()
-	if err := tvnep.CheckSolution(inst.Sub, inst.Reqs, sol); err != nil {
-		fmt.Fprintf(os.Stderr, "tvnep-serve: committed snapshot failed verification: %v\n", err)
+	// Final gate: the cumulative committed solution must pass the full
+	// certificate (Definition 2.1, pinned mapping and access-control
+	// objective), whatever the per-decision settings were. With -certify it
+	// is the oracle for the per-decision checks, which each see only the
+	// committed requests an accept overlaps.
+	inst, mapping, sol := solver.Snapshot()
+	rep := certify.Solution(inst, sol, certify.Options{Objective: core.AccessControl, Mapping: mapping})
+	if err := rep.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "tvnep-serve: committed snapshot failed its certificate: %v\n", err)
 		return 1
 	}
-	fmt.Printf("snapshot: %d requests, objective %.4f, verified OK\n", len(inst.Reqs), sol.Objective)
+	fmt.Printf("snapshot: %d requests, objective %.4f, certified OK\n", len(inst.Reqs), sol.Objective)
 	return 0
 }
 

@@ -104,13 +104,13 @@ type Config struct {
 	// bit-identical.
 	Seed int64
 	// Certify re-verifies every accepting decision with the independent
-	// solution checker before committing it; a violation downgrades the
-	// decision to a rejection (and is reported in Decision.CertErr).
+	// solution checker before committing it: the accept is checked against
+	// the committed requests whose schedules overlap its [start, end],
+	// which is where Definition 2.1 can change. A violation downgrades the
+	// decision to a rejection (and is reported in Decision.CertErr). The
+	// whole committed snapshot is certified by the callers of Snapshot
+	// (/v1/solution and the end of tvnep-serve -replay).
 	Certify bool
-	// ReoptEvery triggers a batched re-optimization of the committed link
-	// allocations after every n-th acceptance (0 → never). Re-optimization
-	// never changes past accept/reject decisions or schedules, only flows.
-	ReoptEvery int
 }
 
 // Decision is the engine's answer to one admission request.
@@ -170,7 +170,6 @@ type Stats struct {
 	RoundingTier  int
 	MIPTier       int
 	CertFailures  int
-	Reopts        int
 	TotalLPIters  int
 	TotalNodes    int
 	WarmAttempts  int
@@ -207,13 +206,12 @@ type record struct {
 // concurrent use; admissions are serialized internally, which is what makes
 // the accept/reject sequence a pure function of the submission order.
 type Engine struct {
-	mu         sync.Mutex
-	cfg        Config
-	log        []*record // every decided request, in arrival order
-	active     []*record // accepted subset, in arrival order
-	stats      Stats
-	latencies  []float64 // seconds, one per decision
-	sinceReopt int
+	mu        sync.Mutex
+	cfg       Config
+	log       []*record // every decided request, in arrival order
+	active    []*record // accepted subset, in arrival order
+	stats     Stats
+	latencies []float64 // seconds, one per decision
 }
 
 // New validates the configuration and returns a fresh engine.
@@ -288,6 +286,18 @@ func overlaps(start, end, earliest, latest float64) bool {
 	return end > earliest-numtol.EventCoincide && start < latest+numtol.EventCoincide
 }
 
+// overlapping returns the committed requests whose schedules overlap
+// [lo, hi], in arrival order.
+func (e *Engine) overlapping(lo, hi float64) []*record {
+	var out []*record
+	for _, a := range e.active {
+		if overlaps(a.decided.Start, a.decided.End, lo, hi) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // Admit decides one arriving request. mapping pins every virtual node to a
 // substrate node (the engine, like the paper's evaluation, requires a-priori
 // node mappings). The call blocks while earlier admissions are in flight;
@@ -345,12 +355,6 @@ func (e *Engine) Admit(ctx context.Context, req *vnet.Request, mapping []int) (D
 	e.stats.Accepted++
 	e.observe(&d, began)
 	rec.decided = d
-
-	e.sinceReopt++
-	if e.cfg.ReoptEvery > 0 && e.sinceReopt >= e.cfg.ReoptEvery {
-		e.sinceReopt = 0
-		e.reoptimize(ctx)
-	}
 	return d, nil
 }
 
@@ -459,13 +463,9 @@ func (e *Engine) decide(ctx context.Context, rec *record, d *Decision) (*accepta
 // noise of large absolute times, overbooked nodes the certifier then
 // caught. The caller adds the origin back to the accepted schedule.
 func (e *Engine) subproblem(rec *record) (*core.Instance, core.BuildOptions, int, [][][]float64, float64) {
-	var included []*record
+	included := e.overlapping(rec.req.Earliest, rec.req.Latest)
 	origin, latest := rec.req.Earliest, rec.req.Latest
-	for _, a := range e.active {
-		if !overlaps(a.decided.Start, a.decided.End, rec.req.Earliest, rec.req.Latest) {
-			continue
-		}
-		included = append(included, a)
+	for _, a := range included {
 		origin = math.Min(origin, a.decided.Start)
 		latest = math.Max(latest, a.decided.End)
 	}
@@ -550,7 +550,13 @@ func (e *Engine) commitRestart(inst *lp.Instance, b *core.Built, lpRes lp.Result
 
 // certifyDecision re-verifies an accepting decision with the independent
 // checker before it is committed: the arriving embedding is laid over the
-// currently committed system and checked against Definition 2.1.
+// committed requests whose schedules overlap its [start, end] and checked
+// against Definition 2.1. That window is the whole check. The committed
+// set changes only through certified accepts, so every interval outside
+// [start, end] keeps loads that already passed, and every event inside it
+// comes from a request included here. Loads are recomputed from each
+// request's own numbers in engine times; nothing of the subproblem's
+// shifted or pinned copies is reused.
 func (e *Engine) certifyDecision(rec *record, acc *acceptance) error {
 	subReqs := []*vnet.Request{}
 	subMap := vnet.NodeMapping{}
@@ -564,7 +570,7 @@ func (e *Engine) certifyDecision(rec *record, acc *acceptance) error {
 		sol.Hosts = append(sol.Hosts, hosts)
 		sol.Flows = append(sol.Flows, flows)
 	}
-	for _, a := range e.active {
+	for _, a := range e.overlapping(acc.start, acc.end) {
 		add(a.req, a.mapping, a.decided.Start, a.decided.End, a.decided.Hosts, a.decided.Flows)
 	}
 	add(rec.req, rec.mapping, acc.start, acc.end, acc.hosts, acc.flows)
@@ -602,52 +608,6 @@ func (e *Engine) observe(d *Decision, began time.Time) {
 	e.stats.TotalLPIters += d.Stats.LPIterations
 	e.stats.TotalNodes += d.Stats.Nodes
 	e.latencies = append(e.latencies, d.Stats.Latency.Seconds())
-}
-
-// reoptimize rebuilds the committed system (schedules and acceptances
-// pinned) and re-solves it to rebalance the splittable link allocations —
-// the batched re-optimization window. Decisions and schedules never change;
-// only flows (and hosts when mappings were free, which they are not here)
-// are refreshed, and only when the refreshed system passes certification.
-func (e *Engine) reoptimize(ctx context.Context) {
-	if len(e.active) == 0 {
-		return
-	}
-	subReqs := make([]*vnet.Request, len(e.active))
-	subMap := make(vnet.NodeMapping, len(e.active))
-	force := make([]bool, len(e.active))
-	for i, a := range e.active {
-		pin := *a.req
-		pin.Earliest = a.decided.Start
-		pin.Latest = a.decided.End
-		subReqs[i] = &pin
-		subMap[i] = a.mapping
-		force[i] = true
-	}
-	inst := &core.Instance{Sub: e.cfg.Sub, Reqs: subReqs, Horizon: e.cfg.Horizon}
-	b := core.BuildCSigma(inst, core.BuildOptions{
-		Objective:       core.AccessControl,
-		FixedMapping:    subMap,
-		CutMode:         e.cfg.CutMode,
-		DisablePresolve: e.cfg.DisablePresolve,
-		ForceAccept:     force,
-	})
-	sol, ms := b.Solve(ctx, &e.cfg.Solve)
-	e.stats.TotalLPIters += ms.LPIterations
-	e.stats.TotalNodes += ms.Nodes
-	if sol == nil {
-		return
-	}
-	if e.cfg.Certify {
-		rep := certify.Solution(inst, sol, certify.Options{SkipObjective: true, Mapping: subMap})
-		if !rep.OK() {
-			return
-		}
-	}
-	for i, a := range e.active {
-		a.decided.Flows = sol.Flows[i]
-	}
-	e.stats.Reopts++
 }
 
 // Stats returns a snapshot of the aggregate statistics, with latency

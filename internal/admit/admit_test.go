@@ -3,6 +3,7 @@ package admit
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"tvnep/internal/certify"
@@ -11,6 +12,8 @@ import (
 	"tvnep/internal/model"
 	"tvnep/internal/numtol"
 	"tvnep/internal/solution"
+	"tvnep/internal/substrate"
+	"tvnep/internal/vnet"
 	"tvnep/internal/workload"
 )
 
@@ -134,12 +137,11 @@ func TestMatchesGreedy(t *testing.T) {
 // objective the engine optimizes.
 func TestSnapshotCertifies(t *testing.T) {
 	sc := trace(t, 25, 5)
-	eng := replay(t, sc, Config{Certify: true, ReoptEvery: 4})
-	inst, mapping, sol := eng.Snapshot()
-	rep := certify.Solution(inst, sol, certify.Options{Objective: core.AccessControl, Mapping: mapping})
-	if err := rep.Err(); err != nil {
+	eng := replay(t, sc, Config{Certify: true})
+	if err := certifySnapshot(eng); err != nil {
 		t.Fatalf("snapshot does not certify: %v", err)
 	}
+	inst, _, sol := eng.Snapshot()
 	if err := solution.Check(inst.Sub, inst.Reqs, sol); err != nil {
 		t.Fatalf("snapshot fails the feasibility checker: %v", err)
 	}
@@ -150,8 +152,8 @@ func TestSnapshotCertifies(t *testing.T) {
 	if s.Accepted == 0 {
 		t.Fatal("trace accepted nothing; scenario too tight to be meaningful")
 	}
-	t.Logf("accepted %d/%d, tiers precheck=%d lp=%d mip=%d, reopts=%d",
-		s.Accepted, s.Decisions, s.PrecheckTier, s.LPTier, s.MIPTier, s.Reopts)
+	t.Logf("accepted %d/%d, tiers precheck=%d lp=%d mip=%d",
+		s.Accepted, s.Decisions, s.PrecheckTier, s.LPTier, s.MIPTier)
 }
 
 // TestPrecheckReject covers the no-solve tier: a request whose own demand
@@ -176,13 +178,56 @@ func TestPrecheckReject(t *testing.T) {
 	}
 }
 
-// TestNoCertDowngrades replays the benchmark's HTTP admission trace (seed
-// 4) with certification on and requires that no accepting decision is
-// downgraded. Solved on the engine's whole horizon, the per-decision models
-// let a start slip by horizon·MIPIntTol past a committed end (big-M
-// leakage) or a few ulps before it, and the certifier rejected those
-// overlaps; the first one is decision 284.
+// TestNoCertDowngrades replays the benchmark's HTTP admission trace with
+// certification on and requires that no accepting decision is downgraded.
+// Solved on the engine's whole horizon, the per-decision models let a start
+// slip by horizon·MIPIntTol past a committed end (big-M leakage) or a few
+// ulps before it, and the certifier rejected those overlaps; the first one
+// is decision 284. The committed snapshot must pass the full certificate at
+// the end.
 func TestNoCertDowngrades(t *testing.T) {
+	eng := replay(t, httpTrace(), Config{Certify: true})
+	for _, d := range eng.Decisions() {
+		if d.CertErr != nil {
+			t.Errorf("decision %d downgraded: %v", d.Index, d.CertErr)
+		}
+	}
+	if s := eng.Stats(); s.CertFailures != 0 {
+		t.Fatalf("%d certification downgrades in %d decisions", s.CertFailures, s.Decisions)
+	}
+	if err := certifySnapshot(eng); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+}
+
+// TestWindowedCertifyAgreesWithFull runs the full certificate over the
+// whole committed snapshot after every decision of the HTTP admission
+// trace. Each accept is certified only against the committed requests it
+// overlaps; the full certificate is the oracle that this window loses
+// nothing.
+func TestWindowedCertifyAgreesWithFull(t *testing.T) {
+	sc := httpTrace()
+	eng, err := New(Config{Sub: sc.Substrate, Horizon: sc.Horizon, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range sc.Requests {
+		d, err := eng.Admit(context.Background(), req, sc.Mapping[i])
+		if err != nil {
+			t.Fatalf("Admit(%d): %v", i, err)
+		}
+		if d.CertErr != nil {
+			t.Fatalf("decision %d: windowed certificate rejected an accept: %v", i, d.CertErr)
+		}
+		if err := certifySnapshot(eng); err != nil {
+			t.Fatalf("decision %d: full certificate fails after a windowed pass: %v", i, err)
+		}
+	}
+}
+
+// httpTrace is the benchmark's HTTP admission trace (seed 4), cut to its
+// first 1300 requests, or 300 under -short.
+func httpTrace() *workload.Scenario {
 	cfg := workload.Default()
 	cfg.NumRequests = 2000
 	cfg.StarLeaves = 1
@@ -192,20 +237,68 @@ func TestNoCertDowngrades(t *testing.T) {
 	if testing.Short() {
 		n = 300
 	}
-	eng, err := New(Config{Sub: sc.Substrate, Horizon: sc.Horizon, Certify: true})
-	if err != nil {
-		t.Fatal(err)
+	sc.Requests, sc.Mapping = sc.Requests[:n], sc.Mapping[:n]
+	return sc
+}
+
+// certifySnapshot runs the full access-control certificate over the
+// engine's whole committed snapshot.
+func certifySnapshot(eng *Engine) error {
+	inst, mapping, sol := eng.Snapshot()
+	rep := certify.Solution(inst, sol, certify.Options{Objective: core.AccessControl, Mapping: mapping})
+	return rep.Err()
+}
+
+// TestCertifyDecisionMutations forges accepts against one committed request
+// on a 1×2 grid (node capacity 2, one link each way of capacity 1). The committed request is a two-node chain on [0, 4], hosted on nodes
+// 0 and 1 and routed over link 0→1; the arriving one is a chain with the
+// same demands. The windowed certificate must catch every overload inside
+// the window and every fault of the arriving request itself, and must pass
+// an abutting schedule as Sweep's midpoint rule does.
+func TestCertifyDecisionMutations(t *testing.T) {
+	sub := substrate.Grid(1, 2, 2, 1)
+	chain := func(name string, nodeDemand, linkDemand, earliest, latest float64) *vnet.Request {
+		r := vnet.Chain(name, 2, nodeDemand, linkDemand)
+		r.Duration = 4
+		r.Earliest, r.Latest = earliest, latest
+		return r
 	}
-	for i, req := range sc.Requests[:n] {
-		d, err := eng.Admit(context.Background(), req, sc.Mapping[i])
-		if err != nil {
-			t.Fatalf("Admit(%d): %v", i, err)
-		}
-		if d.CertErr != nil {
-			t.Errorf("decision %d downgraded: %v", i, d.CertErr)
-		}
+	forward := [][]float64{{1, 0}}  // virtual link over substrate link 0→1
+	backward := [][]float64{{0, 1}} // over substrate link 1→0
+	cases := []struct {
+		name                   string
+		nodeDemand, linkDemand float64
+		earliest, latest       float64 // arriving window
+		acc                    acceptance
+		want                   certify.Kind // "" for none
+	}{
+		{"fits", 0.5, 0.1, 0, 12, acceptance{2, 6, []int{0, 1}, forward}, ""},
+		{"node-partial-overlap", 1.2, 0.1, 0, 12, acceptance{2, 6, []int{0, 1}, forward}, certify.NodeCapacity},
+		{"link-overload", 0.5, 0.6, 0, 12, acceptance{2, 6, []int{0, 1}, forward}, certify.LinkCapacity},
+		{"abutting", 1.2, 0.6, 0, 12, acceptance{4, 8, []int{0, 1}, forward}, ""},
+		{"wrong-duration", 0.5, 0.1, 4, 12, acceptance{5, 8, []int{0, 1}, forward}, certify.Duration},
+		{"window-breach", 0.5, 0.1, 4, 12, acceptance{3, 7, []int{0, 1}, forward}, certify.Window},
+		{"host-off-mapping", 0.5, 0.1, 4, 12, acceptance{4, 8, []int{1, 0}, backward}, certify.MappingPinned},
 	}
-	if s := eng.Stats(); s.CertFailures != 0 {
-		t.Fatalf("%d certification downgrades in %d decisions", s.CertFailures, n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(Config{Sub: sub, Horizon: 20, Certify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.active = []*record{{
+				req:     chain("committed", tc.nodeDemand, tc.linkDemand, 0, 4),
+				mapping: []int{0, 1},
+				decided: Decision{Accepted: true, Start: 0, End: 4, Hosts: []int{0, 1}, Flows: forward},
+			}}
+			rec := &record{req: chain("arriving", tc.nodeDemand, tc.linkDemand, tc.earliest, tc.latest), mapping: []int{0, 1}}
+			err = eng.certifyDecision(rec, &tc.acc)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("want no violation, got %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), string(tc.want))):
+				t.Fatalf("want a %s violation, got %v", tc.want, err)
+			}
+		})
 	}
 }

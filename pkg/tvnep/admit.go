@@ -30,7 +30,6 @@ func (s *Solver) engine() (*admit.Engine, error) {
 			Rounding:        s.cfg.algorithm == Rounding,
 			Seed:            s.cfg.solve.Seed,
 			Certify:         s.cfg.certify,
-			ReoptEvery:      s.cfg.reoptEvery,
 		})
 	})
 	return s.eng, s.engErr

@@ -47,7 +47,6 @@ type StatsResponse struct {
 	RoundingTier  int     `json:"rounding_tier"`
 	MIPTier       int     `json:"mip_tier"`
 	CertFailures  int     `json:"cert_failures"`
-	Reopts        int     `json:"reopts"`
 	TotalLPIters  int     `json:"total_lp_iterations"`
 	TotalNodes    int     `json:"total_nodes"`
 	WarmAttempts  int     `json:"warm_attempts"`
@@ -166,7 +165,6 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RoundingTier:  s.RoundingTier,
 		MIPTier:       s.MIPTier,
 		CertFailures:  s.CertFailures,
-		Reopts:        s.Reopts,
 		TotalLPIters:  s.TotalLPIters,
 		TotalNodes:    s.TotalNodes,
 		WarmAttempts:  s.WarmAttempts,

@@ -250,7 +250,6 @@ type config struct {
 	loadFraction    float64
 	horizon         float64
 	certify         bool
-	reoptEvery      int
 	solve           model.SolveOptions
 	progressSet     bool
 	conflictingOpts []string // options that require the cΣ formulation
@@ -371,12 +370,6 @@ func WithProgress(fn func(Progress)) Option {
 // uncertified acceptances to rejections.
 func WithCertify() Option {
 	return func(c *config) { c.certify = true }
-}
-
-// WithReoptEvery triggers a batched re-optimization of committed link
-// allocations after every n-th accepted admission (0 → never).
-func WithReoptEvery(n int) Option {
-	return func(c *config) { c.reoptEvery = n }
 }
 
 // Solver is the facade over every solve mode of the repository: exact
