@@ -264,6 +264,35 @@ func BenchmarkLPRelaxationCSigma(b *testing.B) {
 	}
 }
 
+// BenchmarkLPRelaxationPaperScale measures the cold LP relaxation of the
+// cΣ-Model at the paper's own scale (4×5 grid, 20 requests, 5-node stars,
+// 4 h flexibility, scenario seed 1): the one large LP the rounding tier
+// solves, whose FTRAN/BTRAN solves are where hyper-sparsity pays. Several
+// seconds per op, so it is skipped under -short.
+func BenchmarkLPRelaxationPaperScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale LP takes seconds per op")
+	}
+	wl := workload.PaperScale()
+	wl.FlexibilityHr = 4
+	sc := workload.Generate(wl, 1)
+	inst := &core.Instance{Sub: sc.Substrate, Reqs: sc.Requests, Horizon: sc.Horizon}
+	built := core.BuildCSigma(inst, core.BuildOptions{
+		Objective:    core.AccessControl,
+		FixedMapping: sc.Mapping,
+	})
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol := built.Model.Relax()
+		if !sol.HasSolution {
+			b.Fatal("relaxation not solved")
+		}
+		iters += sol.LPIterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "lp_iters/op")
+}
+
 // --- Worker-pool scaling benchmarks ---
 
 // benchSweepWorkers runs the cΣ access-control sweep with a fixed worker

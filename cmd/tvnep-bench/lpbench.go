@@ -52,6 +52,10 @@ type lpBenchResult struct {
 	// flips absorbed without a pivot, and breakpoints walked per op.
 	BoundFlipsPerOp  float64 `json:"bound_flips_per_op,omitempty"`
 	RatioPassesPerOp float64 `json:"ratio_passes_per_op,omitempty"`
+	// SparseShare is the share of FTRAN/BTRAN calls that stayed
+	// hyper-sparse (see lp.Result.SparseSolves). Text summary only: the
+	// JSON report keeps its fields, so committed baselines stay comparable.
+	SparseShare float64 `json:"-"`
 	// Lazy-separation statistics (LazyCutCSigma only): rows present in the
 	// root LP vs rows appended on demand, separation rounds, and pool
 	// dedup hits.
@@ -125,8 +129,8 @@ type lpBenchReport struct {
 
 // measureLP times f (one op per call) with alloc accounting. f reports the
 // simplex iterations it consumed; extra metrics from the first op survive
-// into the result, except the ratio-test counters, which accumulate over
-// every op like the iteration count.
+// into the result, except the ratio-test and FTRAN/BTRAN counters, which
+// accumulate over every op like the iteration count.
 func measureLP(name string, short bool, f func() (lpIters int, extra map[string]float64)) lpBenchResult {
 	// Warmup op, also used to calibrate the iteration count to ~1s.
 	t0 := time.Now()
@@ -148,13 +152,15 @@ func measureLP(name string, short bool, f func() (lpIters int, extra map[string]
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	iters := 0
-	flips, passes := 0.0, 0.0
+	flips, passes, sparse, dense := 0.0, 0.0, 0.0, 0.0
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		li, ex := f()
 		iters += li
 		flips += ex["bound_flips"]
 		passes += ex["ratio_passes"]
+		sparse += ex["sparse_solves"]
+		dense += ex["dense_solves"]
 	}
 	dt := time.Since(start)
 	runtime.ReadMemStats(&ms1)
@@ -168,6 +174,9 @@ func measureLP(name string, short bool, f func() (lpIters int, extra map[string]
 		LPItersPerOp:     float64(iters) / float64(n),
 		BoundFlipsPerOp:  flips / float64(n),
 		RatioPassesPerOp: passes / float64(n),
+	}
+	if sparse+dense > 0 {
+		res.SparseShare = sparse / (sparse + dense)
 	}
 	if v, ok := extra["bb_nodes"]; ok {
 		res.BBNodes = v
@@ -296,8 +305,10 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					os.Exit(1)
 				}
 				return sol.LPIterations, map[string]float64{
-					"bound_flips":  float64(sol.BoundFlips),
-					"ratio_passes": float64(sol.RatioPasses),
+					"bound_flips":   float64(sol.BoundFlips),
+					"ratio_passes":  float64(sol.RatioPasses),
+					"sparse_solves": float64(sol.SparseSolves),
+					"dense_solves":  float64(sol.DenseSolves),
 				}
 			}))
 	}
@@ -326,9 +337,11 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					os.Exit(1)
 				}
 				return ms.LPIterations, map[string]float64{
-					"bb_nodes":     float64(ms.Nodes),
-					"bound_flips":  float64(ms.BoundFlips),
-					"ratio_passes": float64(ms.RatioPasses),
+					"bb_nodes":      float64(ms.Nodes),
+					"bound_flips":   float64(ms.BoundFlips),
+					"ratio_passes":  float64(ms.RatioPasses),
+					"sparse_solves": float64(ms.SparseSolves),
+					"dense_solves":  float64(ms.DenseSolves),
 				}
 			}))
 	}
@@ -361,6 +374,8 @@ func runLPBench(outPath, comparePath string, short bool) error {
 					"bb_nodes":           float64(ms.Nodes),
 					"bound_flips":        float64(ms.BoundFlips),
 					"ratio_passes":       float64(ms.RatioPasses),
+					"sparse_solves":      float64(ms.SparseSolves),
+					"dense_solves":       float64(ms.DenseSolves),
 					"cut_rows_root":      float64(ms.Cuts.RowsAtRoot),
 					"cut_rows_separated": float64(ms.Cuts.SeparatedRows),
 					"cut_rounds":         float64(ms.Cuts.Rounds),
@@ -408,9 +423,11 @@ func runLPBench(outPath, comparePath string, short bool) error {
 						os.Exit(1)
 					}
 					extra := map[string]float64{
-						"bb_nodes":     float64(ms.Nodes),
-						"bound_flips":  float64(ms.BoundFlips),
-						"ratio_passes": float64(ms.RatioPasses),
+						"bb_nodes":      float64(ms.Nodes),
+						"bound_flips":   float64(ms.BoundFlips),
+						"ratio_passes":  float64(ms.RatioPasses),
+						"sparse_solves": float64(ms.SparseSolves),
+						"dense_solves":  float64(ms.DenseSolves),
 					}
 					if mode.fm == core.FlowPath {
 						extra["cols_root"] = float64(ms.Columns.ColsAtRoot)
@@ -600,6 +617,9 @@ func runLPBench(outPath, comparePath string, short bool) error {
 			}
 			if b.BoundFlipsPerOp > 0 {
 				line += fmt.Sprintf("   %.1f bound flips/op", b.BoundFlipsPerOp)
+			}
+			if b.SparseShare > 0 {
+				line += fmt.Sprintf("   %.0f%% sparse solves", 100*b.SparseShare)
 			}
 			if b.CutRowsRoot > 0 {
 				line += fmt.Sprintf("   cuts: %.0f root rows, %.0f separated in %.0f rounds, %.0f pool hits",

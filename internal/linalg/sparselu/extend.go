@@ -62,18 +62,9 @@ func (f *Factors) ExtendInto(dst *Factors, ws *Workspace, k int, borderIdx [][]i
 		for e, p := range borderIdx[i] {
 			c[p] += borderVal[i][e]
 		}
-		// c ← c·E⁻¹: the eta-transpose loop of Btran, because
+		// c ← c·E⁻¹: the eta-transpose pass of Btran, because
 		// (c·E⁻¹)ᵀ = E⁻ᵀ·cᵀ.
-		for ei := len(f.etas) - 1; ei >= 0; ei-- {
-			e := &f.etas[ei]
-			s := c[e.r]
-			idx := f.etaIdx[e.off : e.off+e.n]
-			val := f.etaVal[e.off : e.off+e.n]
-			for t, ix := range idx {
-				s -= val[t] * c[ix]
-			}
-			c[e.r] = s / e.piv
-		}
+		f.btranEtas(c)
 		// Solve x·U = ĉ over steps (ĉ[t] = c[order[t]]): the forward Uᵀ
 		// recurrence of Btran.
 		x := xs[i*m : (i+1)*m]

@@ -140,7 +140,7 @@ func applyRandomUpdates(t *testing.T, rng *rand.Rand, f *Factors, m int, colIdx 
 		if math.Abs(alpha[pos]) < 1e-6 {
 			continue // unlucky pivot; skip this replacement
 		}
-		f.Update(alpha, pos)
+		f.Update(alpha, densePattern(m), pos)
 		colIdx[pos], colVal[pos] = newIdx, newVal
 	}
 }

@@ -72,15 +72,7 @@ func (f *Factors) ExtendColumnInto(dst *Factors, ws *Workspace, k int, borderIdx
 		for e, r := range borderIdx[i] {
 			w[r] += borderVal[i][e]
 		}
-		for t := 0; t < m; t++ {
-			val := w[f.rowPiv[t]]
-			if val == 0 {
-				continue
-			}
-			for e := f.lptr[t]; e < f.lptr[t+1]; e++ {
-				w[f.lrow[e]] -= f.lval[e] * val
-			}
-		}
+		f.ftranLDense(w, 0)
 		u := us[i*m : (i+1)*m]
 		for t := 0; t < m; t++ {
 			u[t] = w[f.rowPiv[t]]

@@ -1,9 +1,8 @@
 // Package sparselu provides the sparse basis kernel of the LP solver: an LU
 // factorization of the (sparse, square) simplex basis with a Markowitz-style
 // fill-reducing pivot order and threshold partial pivoting, forward/backward
-// solves (FTRAN/BTRAN) that skip structurally-zero positions, and eta-file
-// (product-form-of-the-inverse) updates so that a pivot costs O(nnz) instead
-// of a refactorization.
+// solves (FTRAN/BTRAN), and eta-file (product-form-of-the-inverse) updates
+// so that a pivot costs O(nnz) instead of a refactorization.
 //
 // The factorization is left-looking (Gilbert–Peierls style): columns are
 // eliminated in a static least-count order — the column half of the Markowitz
@@ -13,10 +12,20 @@
 // repeated factorizations of the same basis are bit-for-bit identical.
 //
 // Both triangular factors are additionally mirrored in transposed (row-major)
-// form so that Btran runs as a pair of scatter-style solves that skip
-// structurally-zero positions — the unit right-hand sides of the simplex
-// pivot row (BTRAN of e_r) touch only the rows actually reachable in the
-// dependency graph instead of all m elimination steps.
+// form so that Btran runs as a pair of scatter-style solves, and the
+// row→step and position→step inverses of the pivot order are kept beside
+// them. Ftran and Btran loop over all m elimination steps, skipping those
+// whose value is zero. FtranNZ and BtranNZ (hyper.go) are their
+// hyper-sparse forms (Hall & McKinnon): given the nonzero pattern of the
+// right-hand side they sweep only the elimination steps it reaches through
+// L, U and the mirrors, in elimination order off a bitset, and return the
+// sorted pattern of the result. They expand a step under exactly the test
+// that makes the dense loops skip it, so they perform the same arithmetic in
+// the same order and their results are bit-identical, signed zeros
+// included. A solve whose reach passes m/10 steps finishes with the dense
+// loops from where it stands, which keeps dense solves at their dense cost.
+// BtranNZ's product-form eta pass always runs dense: it is a gather over
+// every eta.
 //
 // Allocation discipline: the hot simplex loop must not allocate. Eta vectors
 // live in per-Factors append-only arenas (amortized zero-allocation growth),
@@ -91,6 +100,12 @@ type Factors struct {
 	lrcol []int32
 	lrval []float64
 
+	// Inverse permutations for the hyper-sparse solves: the step at which
+	// each original row is pivotal, and the step that processed each basis
+	// position (the inverses of rowPiv and order).
+	rowStep []int32
+	posStep []int32
+
 	etas    []eta
 	etaIdx  []int32   // arena backing eta off-pivot indices
 	etaVal  []float64 // arena backing eta off-pivot values
@@ -112,6 +127,12 @@ type Workspace struct {
 	rcount  []int32 // static per-row entry counts
 	cnt     []int32 // transpose-mirror counting scratch
 	xbuf    []float64
+
+	// Hyper-sparse solve scratch (see hyper.go), all-zero between solves:
+	// a bitset over elimination steps or positions, and a step-indexed
+	// accumulator.
+	mark []uint64
+	acc  []float64
 }
 
 // NewWorkspace returns an empty workspace; storage grows on first use.
@@ -361,9 +382,15 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	f.urval = growF64(f.urval, len(f.uval))
 	f.lrcol = growI32(f.lrcol, len(f.lrow))
 	f.lrval = growF64(f.lrval, len(f.lval))
+	f.rowStep = growI32(f.rowStep, m)
+	f.posStep = growI32(f.posStep, m)
 	if m == 0 {
 		f.urptr[0], f.lrptr[0] = 0, 0
 		return
+	}
+	for k := 0; k < m; k++ {
+		f.rowStep[f.rowPiv[k]] = int32(k)
+		f.posStep[f.order[k]] = int32(k)
 	}
 	if ws == nil || cap(ws.cnt) < m+1 {
 		ws = &Workspace{cnt: make([]int32, m+1)}
@@ -392,20 +419,11 @@ func (f *Factors) buildMirrors(ws *Workspace) {
 	}
 
 	// L mirror: entries keyed by the step at which their row becomes
-	// pivotal (ws.estate doubles as the row→step map; the DFS is done
-	// with it by the time mirrors are built).
+	// pivotal.
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	steps := ws.estate
-	if cap(steps) < m {
-		steps = make([]int32, m)
-		ws.estate = steps
-	}
-	steps = steps[:m]
-	for k := 0; k < m; k++ {
-		steps[f.rowPiv[k]] = int32(k)
-	}
+	steps := f.rowStep
 	for _, r := range f.lrow {
 		cnt[steps[r]+1]++
 	}
@@ -437,16 +455,19 @@ func (f *Factors) EtaNNZ() int { return f.etaNNZ }
 
 // Update appends the product-form eta for a pivot that replaced the basis
 // column at position r, where alpha = B⁻¹·(entering column) is the FTRAN'd
-// entering column. alpha[r] must be nonzero (the simplex ratio test
-// guarantees a pivot magnitude above its tolerance). Steady-state updates
-// are allocation-free once the arena capacity has warmed up.
+// entering column and nz lists, in ascending order, the positions of alpha
+// that may hold a value other than +0 (the pattern FtranNZ returns; all m
+// positions after a dense solve). alpha[r] must be nonzero (the simplex
+// ratio test guarantees a pivot magnitude above its tolerance).
+// Steady-state updates are allocation-free once the arena capacity has
+// warmed up.
 //
 //hot:path
-func (f *Factors) Update(alpha []float64, r int) {
+func (f *Factors) Update(alpha []float64, nz []int32, r int) {
 	off := int32(len(f.etaIdx))
-	for i, v := range alpha {
-		if i != r && math.Abs(v) > dropTol {
-			f.etaIdx = append(f.etaIdx, int32(i)) //lint:allow hotalloc -- amortized eta-arena growth; compacted at refactorization
+	for _, i := range nz {
+		if v := alpha[i]; int(i) != r && math.Abs(v) > dropTol {
+			f.etaIdx = append(f.etaIdx, i) //lint:allow hotalloc -- amortized eta-arena growth; compacted at refactorization
 			f.etaVal = append(f.etaVal, v)
 		}
 	}
@@ -456,107 +477,33 @@ func (f *Factors) Update(alpha []float64, r int) {
 }
 
 // Ftran solves B·x = v in place: on input v is a right-hand side indexed by
-// row, on output it holds x indexed by basis position. Structurally-zero
-// pivot positions are skipped, so sparse right-hand sides (unit columns,
-// sparse entering columns) cost far less than a dense solve.
+// row, on output it holds x indexed by basis position. The L and U solves
+// run in scatter form over all m elimination steps, skipping steps whose
+// value is zero; FtranNZ is the hyper-sparse form that visits only the
+// steps a sparse right-hand side reaches.
 //
 //hot:path
 func (f *Factors) Ftran(v []float64) {
-	m := f.m
-	// L solve (forward, scatter form: skip zero pivots).
-	for k := 0; k < m; k++ {
-		val := v[f.rowPiv[k]]
-		if val == 0 {
-			continue
-		}
-		for e := f.lptr[k]; e < f.lptr[k+1]; e++ {
-			v[f.lrow[e]] -= f.lval[e] * val
-		}
-	}
-	// U solve (backward, scatter form), result per elimination step.
-	x := f.scratch
-	for k := m - 1; k >= 0; k-- {
-		t := v[f.rowPiv[k]]
-		if t != 0 {
-			t /= f.udiag[k]
-			for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-				v[f.rowPiv[f.urow[e]]] -= f.uval[e] * t
-			}
-		}
-		x[k] = t
-	}
-	// Permute steps back to basis positions.
-	for k := 0; k < m; k++ {
-		v[f.order[k]] = x[k]
-	}
-	// Apply the eta file in pivot order: B = B₀·E₁⋯E_k, so
-	// x = E_k⁻¹·…·E₁⁻¹·B₀⁻¹·v.
-	for i := range f.etas {
-		e := &f.etas[i]
-		pv := v[e.r]
-		if pv == 0 {
-			continue
-		}
-		pv /= e.piv
-		idx := f.etaIdx[e.off : e.off+e.n]
-		val := f.etaVal[e.off : e.off+e.n]
-		for t, ix := range idx {
-			v[ix] -= val[t] * pv
-		}
-		v[e.r] = pv
-	}
+	f.ftranLDense(v, 0)
+	f.ftranUDense(v, f.m-1)
+	f.ftranPermute(v)
+	f.ftranEtas(v, nil)
 }
 
 // Btran solves Bᵀ·y = v in place: on input v is indexed by basis position
-// (e.g. basic costs), on output it holds y indexed by row. Both triangular
-// solves run in scatter form over the transposed mirrors and skip
-// structurally-zero steps, so the unit right-hand sides of the pivot-row
-// BTRAN touch only the reachable part of the dependency graph.
+// (e.g. basic costs), on output it holds y indexed by row. After the eta
+// transposes, both triangular solves run in scatter form over the
+// transposed mirrors, skipping steps whose value is zero; BtranNZ is the
+// hyper-sparse form.
 //
 //hot:path
 func (f *Factors) Btran(v []float64) {
-	// Eta transposes in reverse pivot order.
-	for i := len(f.etas) - 1; i >= 0; i-- {
-		e := &f.etas[i]
-		s := v[e.r]
-		idx := f.etaIdx[e.off : e.off+e.n]
-		val := f.etaVal[e.off : e.off+e.n]
-		for t, ix := range idx {
-			s -= val[t] * v[ix]
-		}
-		v[e.r] = s / e.piv
-	}
-	m := f.m
-	// Column permutation, then Uᵀ solve (forward in elimination steps;
-	// scatter form over the row mirror, skipping zero steps).
+	f.btranEtas(v)
 	z := f.scratch
-	for k := 0; k < m; k++ {
+	for k := 0; k < f.m; k++ {
 		z[k] = v[f.order[k]]
 	}
-	for k := 0; k < m; k++ {
-		t := z[k]
-		if t == 0 {
-			continue
-		}
-		t /= f.udiag[k]
-		z[k] = t
-		for e := f.urptr[k]; e < f.urptr[k+1]; e++ {
-			z[f.urcol[e]] -= f.urval[e] * t
-		}
-	}
-	// Lᵀ solve (backward; scatter form over the step-keyed mirror: once
-	// step k is final, its value feeds the earlier steps whose L columns
-	// reference row rowPiv[k]).
-	for k := m - 1; k >= 0; k-- {
-		t := z[k]
-		v[f.rowPiv[k]] = t
-		if t == 0 {
-			continue
-		}
-		for e := f.lrptr[k]; e < f.lrptr[k+1]; e++ {
-			z[f.lrcol[e]] -= f.lrval[e] * t
-		}
-	}
+	f.btranDense(v, z, 0)
 }
 
 // CopyInto deep-copies f into dst, reusing dst's storage when capacity
@@ -580,6 +527,8 @@ func (f *Factors) CopyInto(dst *Factors) {
 	dst.lrptr = append(growI32(dst.lrptr, len(f.lrptr))[:0], f.lrptr...)
 	dst.lrcol = append(growI32(dst.lrcol, len(f.lrcol))[:0], f.lrcol...)
 	dst.lrval = append(growF64(dst.lrval, len(f.lrval))[:0], f.lrval...)
+	dst.rowStep = append(growI32(dst.rowStep, len(f.rowStep))[:0], f.rowStep...)
+	dst.posStep = append(growI32(dst.posStep, len(f.posStep))[:0], f.posStep...)
 	if cap(dst.etas) < len(f.etas) {
 		dst.etas = make([]eta, len(f.etas))
 	} else {

@@ -71,6 +71,9 @@ func denseSolve(a [][]float64, b []float64) []float64 {
 	return x
 }
 
+// densePattern is the pattern of a dense vector of length m: 0..m-1.
+func densePattern(m int) []int32 { return allPositions(make([]int32, m), m) }
+
 func maxDiff(a, b []float64) float64 {
 	worst := 0.0
 	for i := range a {
@@ -184,7 +187,7 @@ func TestEtaUpdateMatchesRefactorization(t *testing.T) {
 			if math.Abs(alpha[pos]) < 1e-6 {
 				continue // unlucky pivot; skip this replacement
 			}
-			f.Update(alpha, pos)
+			f.Update(alpha, densePattern(m), pos)
 			colIdx[pos], colVal[pos] = newIdx, newVal
 		}
 		// The eta-updated factors must agree with a fresh factorization of
@@ -227,15 +230,15 @@ func TestCloneIsolation(t *testing.T) {
 		alpha[i] = rng.NormFloat64()
 	}
 	alpha[4] = 2
-	f.Update(alpha, 4)
+	f.Update(alpha, densePattern(m), 4)
 
 	clone := f.Clone()
 	if clone.NumEtas() != 1 || clone.EtaNNZ() != f.EtaNNZ() {
 		t.Fatalf("clone eta state: %d etas, nnz %d", clone.NumEtas(), clone.EtaNNZ())
 	}
 	// Updating the clone must not leak into the original, and vice versa.
-	clone.Update(alpha, 5)
-	f.Update(alpha, 6)
+	clone.Update(alpha, densePattern(m), 5)
+	f.Update(alpha, densePattern(m), 6)
 	if f.NumEtas() != 2 || clone.NumEtas() != 2 {
 		t.Fatalf("eta counts after divergent updates: f=%d clone=%d", f.NumEtas(), clone.NumEtas())
 	}

@@ -68,7 +68,7 @@ func (s *solver) devexPrimalUpdate(q, r, leaving int) {
 }
 
 // dseUpdate refreshes the dual steepest-edge weights β_i = ‖B⁻ᵀe_i‖² for
-// the pivot in which column q enters at row r. alpha is the FTRAN'd
+// the pivot in which column q enters at row r. s.alpha is the FTRAN'd
 // entering column; s.rho must still hold the pivot row B⁻ᵀe_r (from
 // pivotRow) and s.tau receives B⁻¹ρ_r, the one extra FTRAN this rule costs
 // per iteration. Must run before the basis swap.
@@ -90,18 +90,26 @@ func (s *solver) devexPrimalUpdate(q, r, leaving int) {
 // and pricing thrashes. The standard safeguard clamps the update from below
 // at (α_i/α_r)²·β_r, the part of the new row norm contributed by the pivot
 // row, which keeps stale weights from collapsing.
-func (s *solver) dseUpdate(alpha []float64, r int) {
+func (s *solver) dseUpdate(r int) {
+	alpha := s.alpha
 	ar := alpha[r]
 	if ar == 0 {
 		return
 	}
 	betaR := 0.0
-	for _, v := range s.rho {
+	for _, i := range s.rhoNZ {
+		v := s.rho[i]
 		betaR += v * v
 	}
-	copy(s.tau, s.rho)
-	s.fac.Ftran(s.tau)
-	for i := 0; i < s.m; i++ {
+	for _, i := range s.tauNZ {
+		s.tau[i] = 0
+	}
+	for _, i := range s.rhoNZ {
+		s.tau[i] = s.rho[i]
+	}
+	s.tauNZ = s.ftranNZ(s.tau, s.rhoNZ, s.tauNZ)
+	for _, i32 := range s.alphaNZ {
+		i := int(i32)
 		if i == r {
 			continue
 		}

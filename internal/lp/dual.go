@@ -23,7 +23,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 	feas := s.opts.FeasTol
 	for ; s.iters < maxIters; s.iters++ {
 		if s.iters&63 == 0 && s.interrupted() {
-			return iterLimit
+			return iterInterrupted
 		}
 		if !s.dValid {
 			s.recomputeReducedCosts()
@@ -89,7 +89,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 		// Apply the accumulated bound flips before the pivot: one combined
 		// FTRAN updates the basic values for all flipped columns at once.
 		s.applyBoundFlips()
-		s.ftran(q, s.alpha)
+		s.ftran(q)
 		if math.Abs(s.alpha[r]) <= pivTol {
 			// Numerical disagreement between the row and column view;
 			// refactorize and retry once, otherwise give up. (Any bound
@@ -100,7 +100,7 @@ func (s *solver) dual(maxIters int) iterStatus {
 			}
 			s.computeXB()
 			s.dValid = false
-			s.ftran(q, s.alpha)
+			s.ftran(q)
 			if math.Abs(s.alpha[r]) <= pivTol {
 				return iterNumeric
 			}
@@ -115,14 +115,14 @@ func (s *solver) dual(maxIters int) iterStatus {
 			target = s.ub[leavingCol]
 			leaveStat = vsUpper
 		}
-		s.dseUpdate(s.alpha, r)
+		s.dseUpdate(r)
 		s.applyPivotToReducedCosts(q, leavingCol)
 		deltaQ := (s.xB[r] - target) / s.alpha[r]
 		enterVal := s.colValue(q) + deltaQ
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.alphaNZ {
 			s.xB[i] -= deltaQ * s.alpha[i]
 		}
-		s.pivot(q, r, s.alpha, enterVal, leaveStat)
+		s.pivot(q, r, enterVal, leaveStat)
 		s.noteProgress(math.Abs(deltaQ))
 	}
 	return iterLimit
@@ -249,9 +249,10 @@ func (s *solver) applyBoundFlips() {
 	if len(s.flips) == 0 {
 		return
 	}
-	for i := range s.work {
+	for _, i := range s.workNZ {
 		s.work[i] = 0
 	}
+	s.flipRows = s.flipRows[:0]
 	for _, j32 := range s.flips {
 		j := int(j32)
 		span := s.ub[j] - s.lb[j]
@@ -267,9 +268,10 @@ func (s *solver) applyBoundFlips() {
 		for k, ri := range idx {
 			s.work[ri] += val[k] * delta
 		}
+		s.flipRows = append(s.flipRows, idx...) //lint:allow hotalloc -- amortized flip-pattern scratch; capacity persists across solves
 	}
-	s.fac.Ftran(s.work)
-	for i := 0; i < s.m; i++ {
+	s.workNZ = s.ftranNZ(s.work, s.flipRows, s.workNZ)
+	for _, i := range s.workNZ {
 		s.xB[i] -= s.work[i]
 	}
 	s.xbFresh = false

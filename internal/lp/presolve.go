@@ -373,7 +373,13 @@ func (ps *presolved) solve(opts *Options) Result {
 func (ps *presolved) postsolve(rres Result) Result {
 	p := ps.orig
 	n, m := p.NumCols(), p.NumRows()
-	res := Result{Status: rres.Status, Obj: rres.Obj, Iterations: rres.Iterations}
+	res := Result{
+		Status:       rres.Status,
+		Obj:          rres.Obj,
+		Iterations:   rres.Iterations,
+		SparseSolves: rres.SparseSolves,
+		DenseSolves:  rres.DenseSolves,
+	}
 	if rres.Status != StatusOptimal {
 		return res
 	}

@@ -9,8 +9,9 @@ const (
 	iterOptimal iterStatus = iota
 	iterUnbounded
 	iterLimit
-	iterInfeasible // dual simplex: primal infeasibility proven
-	iterNumeric    // irrecoverable numerical trouble
+	iterInfeasible  // dual simplex: primal infeasibility proven
+	iterNumeric     // irrecoverable numerical trouble
+	iterInterrupted // the deadline passed or the context was cancelled
 )
 
 // crashBasis installs the initial slack/artificial basis for a cold start
@@ -136,7 +137,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 	feas := s.opts.FeasTol
 	for ; s.iters < maxIters; s.iters++ {
 		if s.iters&63 == 0 && s.interrupted() {
-			return iterLimit
+			return iterInterrupted
 		}
 		if !s.dValid {
 			s.recomputeReducedCosts()
@@ -161,7 +162,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 				dir = -1
 			}
 		}
-		s.ftran(q, s.alpha)
+		s.ftran(q)
 
 		// Ratio test. t is the allowed movement of x_q along dir.
 		t := math.Inf(1)
@@ -170,7 +171,8 @@ func (s *solver) primal(maxIters int) iterStatus {
 		}
 		leave, leaveStat := -1, vsLower
 		leaveAbs := 0.0
-		for i := 0; i < s.m; i++ {
+		for _, i32 := range s.alphaNZ {
+			i := int(i32)
 			a := s.alpha[i]
 			if math.Abs(a) <= pivTol {
 				continue
@@ -232,7 +234,7 @@ func (s *solver) primal(maxIters int) iterStatus {
 			if math.IsInf(t, 1) {
 				return iterUnbounded
 			}
-			for i := 0; i < s.m; i++ {
+			for _, i := range s.alphaNZ {
 				s.xB[i] -= dir * t * s.alpha[i]
 			}
 			s.xbFresh = false
@@ -250,10 +252,10 @@ func (s *solver) primal(maxIters int) iterStatus {
 		s.devexPrimalUpdate(q, leave, int(s.basis[leave]))
 		s.applyPivotToReducedCosts(q, int(s.basis[leave]))
 		enterVal := s.colValue(q) + dir*t
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.alphaNZ {
 			s.xB[i] -= dir * t * s.alpha[i]
 		}
-		s.pivot(q, leave, s.alpha, enterVal, leaveStat)
+		s.pivot(q, leave, enterVal, leaveStat)
 		s.noteProgress(t)
 	}
 	return iterLimit

@@ -198,6 +198,12 @@ type Result struct {
 	// long-step test walked through (flips plus entering choices).
 	BoundFlips  int
 	RatioPasses int
+	// SparseSolves counts the FTRAN/BTRAN calls that stayed hyper-sparse
+	// (visiting only the elimination steps their right-hand side reaches);
+	// DenseSolves counts the calls that ran dense — dense right-hand sides
+	// (basic values, duals) and solves whose reach passed the dense switch.
+	SparseSolves int
+	DenseSolves  int
 	// Factors is the LU factorization matching Basis, filled only when
 	// Options.CaptureFactors is set (and Basis is). Handing it back as
 	// Options.WarmFactors of a later solve warm-starts that solve without a

@@ -38,14 +38,16 @@ func (s *solver) recomputeReducedCosts() {
 // guarantee is stated over ascending column order; its scan sorts here,
 // on the rare degeneracy-triggered iterations that use it.
 func (s *solver) pivotRow(r int) {
-	s.btranRow(r, s.rho)
+	s.btranRow(r)
 	for _, j := range s.arowNZ {
 		s.arow[j] = 0
 		s.arowTag[j] = false
 	}
 	s.arowNZ = s.arowNZ[:0]
 	n, nm := s.inst.n, s.nm
-	for i, rv := range s.rho {
+	for _, i32 := range s.rhoNZ {
+		i := int(i32)
+		rv := s.rho[i]
 		if rv == 0 {
 			continue
 		}

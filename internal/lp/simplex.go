@@ -282,6 +282,19 @@ type solver struct {
 	work  []float64
 	tau   []float64 // B⁻¹ρ for the dual steepest-edge update
 
+	// Patterns of alpha, rho, tau and work from their last hyper-sparse
+	// solve (ascending; every entry off the pattern is +0), so the loops
+	// over these vectors and their clearing walk the pattern instead of all
+	// m rows. Off the pattern the dense loops would only subtract c·(+0),
+	// which changes no value but a −0 (and x_B holds a −0 only when a bound
+	// is −0). Each has capacity m. flipRows is the right-hand-side pattern
+	// of applyBoundFlips (rows may repeat).
+	alphaNZ  []int32
+	rhoNZ    []int32
+	tauNZ    []int32
+	workNZ   []int32
+	flipRows []int32
+
 	// Incrementally maintained reduced costs (see reduced.go).
 	d       []float64
 	arow    []float64
@@ -314,10 +327,14 @@ type solver struct {
 	iters      int
 	boundFlips int // nonbasic bound flips taken by the long-step ratio test
 	ratioPass  int // breakpoints passed (flipped through) in ratio tests
-	bland      bool
-	stall      int
-	sincefac   int
-	lastPivotQ int
+	// FTRAN/BTRAN calls that stayed hyper-sparse, and calls that ran (or
+	// finished) dense.
+	sparseSolves int
+	denseSolves  int
+	bland        bool
+	stall        int
+	sincefac     int
+	lastPivotQ   int
 }
 
 // fixedCol reports whether column j is fixed (equal bounds) and can never
@@ -356,6 +373,9 @@ func newSolver(inst *Instance, opts Options) *solver {
 		for j := range s.posOf {
 			s.posOf[j] = -1
 		}
+		nz := make([]int32, 4*m) // one backing array for the four patterns
+		s.alphaNZ, s.rhoNZ = nz[0:0:m], nz[m:m:2*m]
+		s.tauNZ, s.workNZ = nz[2*m:2*m:3*m], nz[3*m:3*m:4*m]
 		inst.sv = s
 	}
 	s.reset(opts)
@@ -376,6 +396,12 @@ func (s *solver) reset(opts Options) {
 	s.priceCursor = 0
 	s.boundFlips = 0
 	s.ratioPass = 0
+	s.sparseSolves, s.denseSolves = 0, 0
+	for i := 0; i < s.m; i++ {
+		s.alpha[i], s.rho[i], s.tau[i], s.work[i] = 0, 0, 0, 0
+	}
+	s.alphaNZ, s.rhoNZ = s.alphaNZ[:0], s.rhoNZ[:0]
+	s.tauNZ, s.workNZ = s.tauNZ[:0], s.workNZ[:0]
 	s.dValid, s.dFresh, s.xbFresh = false, false, false
 	s.fac = nil
 	s.preFac = nil
@@ -485,27 +511,46 @@ func (s *solver) defaultStatus(j int) int8 {
 	}
 }
 
-// ftran computes alpha ← B⁻¹·A_j via a hyper-sparse forward solve: the
-// entering column is scattered into alpha and solved in place, skipping
-// structurally-zero positions.
-func (s *solver) ftran(j int, alpha []float64) {
-	for i := range alpha {
-		alpha[i] = 0
+// countSolve records whether an FTRAN/BTRAN stayed hyper-sparse.
+func (s *solver) countSolve(sparse bool) {
+	if sparse {
+		s.sparseSolves++
+	} else {
+		s.denseSolves++
+	}
+}
+
+// ftranNZ solves B·x = v in place over the rows nz that may hold a value
+// other than +0 and returns x's pattern in buf's storage (capacity m).
+func (s *solver) ftranNZ(v []float64, nz, buf []int32) []int32 {
+	pat, sparse := s.fac.FtranNZ(v, nz, buf[:s.m], s.facWS)
+	s.countSolve(sparse)
+	return pat
+}
+
+// ftran computes s.alpha ← B⁻¹·A_j and its pattern s.alphaNZ by a
+// hyper-sparse forward solve: the previous alpha is cleared through its
+// pattern, the entering column scattered in, and the solve visits only the
+// elimination steps the column reaches.
+func (s *solver) ftran(j int) {
+	for _, i := range s.alphaNZ {
+		s.alpha[i] = 0
 	}
 	idx, val := s.col(j)
 	for k, r := range idx {
-		alpha[r] += val[k]
+		s.alpha[r] += val[k]
 	}
-	s.fac.Ftran(alpha)
+	s.alphaNZ = s.ftranNZ(s.alpha, idx, s.alphaNZ)
 }
 
 // computeDuals fills s.y with the solution of Bᵀ·y = c_B for the active
-// phase costs.
+// phase costs (a dense right-hand side, so a dense solve).
 func (s *solver) computeDuals() {
 	for i := 0; i < s.m; i++ {
 		s.y[i] = s.cost[s.basis[i]]
 	}
 	s.fac.Btran(s.y)
+	s.countSolve(false)
 }
 
 // reducedCost returns d_j = c_j − yᵀ·A_j using the currently computed duals.
@@ -518,14 +563,19 @@ func (s *solver) reducedCost(j int) float64 {
 	return d
 }
 
-// btranRow fills rho with row r of B⁻¹, i.e. the solution of Bᵀ·ρ = e_r
-// (a maximally sparse right-hand side for the backward solve).
-func (s *solver) btranRow(r int, rho []float64) {
-	for k := range rho {
-		rho[k] = 0
+// btranRow fills s.rho with row r of B⁻¹, i.e. the solution of Bᵀ·ρ = e_r
+// (a maximally sparse right-hand side for the backward solve), and s.rhoNZ
+// with its pattern.
+func (s *solver) btranRow(r int) {
+	for _, i := range s.rhoNZ {
+		s.rho[i] = 0
 	}
-	rho[r] = 1
-	s.fac.Btran(rho)
+	s.rho[r] = 1
+	s.rhoNZ = s.rhoNZ[:1]
+	s.rhoNZ[0] = int32(r)
+	pat, sparse := s.fac.BtranNZ(s.rho, s.rhoNZ, s.rhoNZ[:s.m], s.facWS)
+	s.countSolve(sparse)
+	s.rhoNZ = pat
 }
 
 // computeXB recomputes the basic values from scratch:
@@ -548,6 +598,7 @@ func (s *solver) computeXB() {
 		}
 	}
 	s.fac.Ftran(s.xB)
+	s.countSolve(false)
 }
 
 // refactor rebuilds the sparse LU factorization of the basis from scratch,
@@ -573,25 +624,20 @@ func (s *solver) refactor() error {
 	return nil
 }
 
-// updateFactors applies the pivot (entering column with ftran vector alpha,
-// leaving row r) as an eta-file update.
-func (s *solver) updateFactors(alpha []float64, r int) {
-	s.fac.Update(alpha, r)
-	s.sincefac++
-}
-
-// pivot makes column q basic in row r. enterVal is the new value of x_q and
-// leaveStat the nonbasic status assigned to the leaving variable.
+// pivot makes column q basic in row r, with s.alpha the FTRAN'd entering
+// column. enterVal is the new value of x_q and leaveStat the nonbasic
+// status assigned to the leaving variable.
 //
 //hot:path
-func (s *solver) pivot(q int, r int, alpha []float64, enterVal float64, leaveStat int8) {
+func (s *solver) pivot(q int, r int, enterVal float64, leaveStat int8) {
 	leaving := int(s.basis[r])
 	s.vstat[leaving] = leaveStat
 	s.inBasis[leaving] = -1
 	s.basis[r] = int32(q)
 	s.inBasis[q] = int32(r)
 	s.vstat[q] = vsBasic
-	s.updateFactors(alpha, r)
+	s.fac.Update(s.alpha, s.alphaNZ, r)
+	s.sincefac++
 	s.xB[r] = enterVal
 	s.lastPivotQ = q
 	s.xbFresh = false

@@ -9,7 +9,8 @@ import (
 
 // Solve optimizes the instance under its current column bounds. If
 // opts.WarmBasis is set and compatible, a dual-simplex warm start is
-// attempted first; any failure falls back to a cold two-phase primal solve.
+// attempted first; any failure but an interrupt (deadline or cancelled
+// context, reported as StatusIterLimit at once) falls back to a cold solve.
 // Under the debugchecks build tag every optimal result is additionally
 // re-checked against the instance's row and bound data before it is
 // returned (see debugcheck_on.go).
@@ -133,6 +134,8 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 			return warmResult(StatusOptimal), s.iters, true
 		case iterUnbounded:
 			return warmResult(StatusUnbounded), s.iters, true
+		case iterInterrupted:
+			return s.result(StatusIterLimit), s.iters, true
 		default:
 			return Result{}, s.iters, false
 		}
@@ -149,11 +152,16 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 			return warmResult(StatusOptimal), s.iters, true
 		case iterUnbounded:
 			return warmResult(StatusUnbounded), s.iters, true
+		case iterInterrupted:
+			return s.result(StatusIterLimit), s.iters, true
 		default:
 			return Result{}, s.iters, false
 		}
 	case iterInfeasible:
 		return warmResult(StatusInfeasible), s.iters, true
+	case iterInterrupted:
+		// A cold retry would be interrupted too: stop here.
+		return s.result(StatusIterLimit), s.iters, true
 	default:
 		return Result{}, s.iters, false // numeric trouble or limit: retry cold
 	}
@@ -162,7 +170,8 @@ func (inst *Instance) solveWarm(o Options) (res Result, iters int, ok bool) {
 // solveCold solves from scratch: a dual phase 1 from the all-slack basis
 // restores primal feasibility, then the primal simplex optimizes the real
 // objective. The classic artificial-variable two-phase primal remains as
-// the fallback for runs the dual phase cannot finish.
+// the fallback for runs the dual phase cannot finish, unless it was
+// interrupted.
 func (inst *Instance) solveCold(o Options) Result {
 	s := newSolver(inst, o)
 	// Dual phase 1: the all-slack basis under zero costs is trivially dual
@@ -193,6 +202,9 @@ func (inst *Instance) solveCold(o Options) Result {
 		}
 	case iterInfeasible:
 		return s.result(StatusInfeasible)
+	case iterInterrupted:
+		// The artificial-variable fallback would be interrupted too.
+		return s.result(StatusIterLimit)
 	}
 	o.MaxIters -= s.iters
 	if o.MaxIters <= 0 {
@@ -208,7 +220,7 @@ func (inst *Instance) solveCold(o Options) Result {
 	if needPhase1 {
 		// Phase 1: costs were installed by crashBasis (±1 on artificials).
 		st := s.primal(o.MaxIters)
-		if st == iterLimit {
+		if st == iterLimit || st == iterInterrupted {
 			return s.result(StatusIterLimit)
 		}
 		if s.phase1Objective() > numtol.Phase1Tol {
@@ -253,10 +265,12 @@ func (s *solver) finishOptimal(o Options) Result {
 func (s *solver) result(status Status) Result {
 	inst := s.inst
 	res := Result{
-		Status:      status,
-		Iterations:  s.iters,
-		BoundFlips:  s.boundFlips,
-		RatioPasses: s.ratioPass,
+		Status:       status,
+		Iterations:   s.iters,
+		BoundFlips:   s.boundFlips,
+		RatioPasses:  s.ratioPass,
+		SparseSolves: s.sparseSolves,
+		DenseSolves:  s.denseSolves,
 	}
 	if status == StatusOptimal {
 		res.X = make([]float64, inst.n)

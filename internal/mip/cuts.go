@@ -194,6 +194,8 @@ func (s *searcher) solveSeparated(nd *node) (*lpTask, bool) {
 		s.taskIters += res.Iterations
 		s.bflips += res.BoundFlips
 		s.rpasses += res.RatioPasses
+		s.sparseSv += res.SparseSolves
+		s.denseSv += res.DenseSolves
 		s.lastWorker = t.worker
 		if res.Status != lp.StatusOptimal {
 			return t, true

@@ -204,6 +204,10 @@ type Result struct {
 	// LPIterations they are deterministic for any worker count.
 	BoundFlips  int
 	RatioPasses int
+	// SparseSolves and DenseSolves aggregate the LP solver's FTRAN/BTRAN
+	// calls that stayed hyper-sparse and that ran dense (see lp.Result).
+	SparseSolves int
+	DenseSolves  int
 	// WastedLPIterations counts LP iterations spent on speculative node
 	// evaluations that the committed search never used (pruned before
 	// commit or still in flight at termination). Always 0 with a single
@@ -300,6 +304,8 @@ type searcher struct {
 	taskIters  int // committed LP iterations from node relaxations only
 	bflips     int // committed long-step bound flips
 	rpasses    int // committed ratio-test breakpoint passes
+	sparseSv   int // committed hyper-sparse FTRAN/BTRAN calls
+	denseSv    int // committed dense FTRAN/BTRAN calls
 	nextSeq    int64
 	lastWorker int
 
@@ -372,6 +378,8 @@ func Solve(ctx context.Context, p *Problem, opts *Options) Result {
 		LPIterations: s.iters,
 		BoundFlips:   s.bflips,
 		RatioPasses:  s.rpasses,
+		SparseSolves: s.sparseSv,
+		DenseSolves:  s.denseSv,
 		Runtime:      time.Since(start), //lint:allow nondet -- wall-clock Runtime stat only
 	}
 	if s.eng != nil {
@@ -681,6 +689,8 @@ func (s *searcher) heurSolve(lpo *lp.Options) lp.Result {
 	s.iters += hres.Iterations
 	s.bflips += hres.BoundFlips
 	s.rpasses += hres.RatioPasses
+	s.sparseSv += hres.SparseSolves
+	s.denseSv += hres.DenseSolves
 	return hres
 }
 

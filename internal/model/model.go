@@ -275,7 +275,11 @@ type Solution struct {
 	// LPIterations).
 	BoundFlips  int
 	RatioPasses int
-	Runtime     time.Duration
+	// SparseSolves and DenseSolves count the LP solver's FTRAN/BTRAN calls
+	// that stayed hyper-sparse and that ran dense (see lp.Result).
+	SparseSolves int
+	DenseSolves  int
+	Runtime      time.Duration
 	// Cuts summarizes lazy separation (zero apart from RowsAtRoot when no
 	// separators were registered).
 	Cuts CutStats
@@ -354,6 +358,8 @@ func (m *Model) Optimize(ctx context.Context, opts *SolveOptions) *Solution {
 		LPIterations:   res.LPIterations,
 		BoundFlips:     res.BoundFlips,
 		RatioPasses:    res.RatioPasses,
+		SparseSolves:   res.SparseSolves,
+		DenseSolves:    res.DenseSolves,
 		Runtime:        res.Runtime,
 		Cuts:           res.Cuts,
 		AppliedCuts:    res.AppliedCuts,
@@ -380,7 +386,13 @@ func (m *Model) IntegerMask() []bool { return m.integer }
 // a bound on the MIP; HasSolution is set for an optimal LP result whether
 // or not it is integral — use IntegerMask to decide that.
 func (m *Model) SolutionFromLP(res lp.Result) *Solution {
-	sol := &Solution{LPIterations: res.Iterations, BoundFlips: res.BoundFlips, RatioPasses: res.RatioPasses}
+	sol := &Solution{
+		LPIterations: res.Iterations,
+		BoundFlips:   res.BoundFlips,
+		RatioPasses:  res.RatioPasses,
+		SparseSolves: res.SparseSolves,
+		DenseSolves:  res.DenseSolves,
+	}
 	switch res.Status {
 	case lp.StatusOptimal:
 		sol.Status = StatusOptimal
